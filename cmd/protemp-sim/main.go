@@ -25,6 +25,7 @@ import (
 
 	"protemp"
 	"protemp/internal/cli"
+	"protemp/internal/core"
 	"protemp/internal/obs"
 	"protemp/internal/sim"
 	"protemp/internal/workload"
@@ -130,13 +131,13 @@ func main() {
 			needTable = true
 			runs = append(runs, nil) // placeholder, filled below
 		case "online":
-			runs = append(runs, &sim.ProTempOnline{
-				Chip:    chip,
-				Window:  engine.Window(),
-				TMax:    *tmax,
-				Variant: engine.Variant(),
-				Flight:  flight,
+			ol, err := core.NewOnlineSolver(core.OnlineSpec{
+				Chip: chip, Window: engine.Window(), TMax: *tmax, Variant: engine.Variant(),
 			})
+			if err != nil {
+				log.Fatal(err)
+			}
+			runs = append(runs, &sim.ProTempOnline{Solver: ol, Flight: flight})
 		case "dmpc":
 			pd, err := engine.DMPCPolicy(0, engine.Variant(), *tmax)
 			if err != nil {

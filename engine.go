@@ -321,25 +321,28 @@ func (e *Engine) recordSweep(s core.TableStats) {
 	e.reg.Counter("sweep_solve_nanos").Add(uint64(s.WallNanos))
 }
 
-// observeStepSolve folds one online Step solve into the engine
-// registry: its wall time into the step_solve_nanos histogram (whose
-// p50/p95/p99 are the serving-latency SLO signals) and its warm-start
-// outcome into the step_* counters. Sessions call it once per solve.
-func (e *Engine) observeStepSolve(d time.Duration, st core.OnlineStepStats, err error) {
-	e.reg.Histogram("step_solve_nanos").ObserveDuration(d.Nanoseconds())
-	// Assembly/factorization split (only for solves that actually entered
-	// the barrier — degenerate full-speed steps report zeros and would
-	// skew the distributions toward 0).
-	if st.NewtonIters > 0 {
-		e.reg.Histogram("solve_assemble_nanos").ObserveDuration(st.AssembleNanos)
-		e.reg.Histogram("solve_factor_nanos").ObserveDuration(st.FactorNanos)
-	}
-	e.reg.Counter("step_solves").Inc()
-	if st.Warm {
-		e.reg.Counter("step_warm_hits").Inc()
-	}
-	if st.WarmRejected {
-		e.reg.Counter("step_warm_rejects").Inc()
+// observeStepDecide folds one online window decision into the engine
+// registry: each solve's wall time into the step_solve_nanos histogram
+// (whose p50/p95/p99 are the serving-latency SLO signals) and its
+// warm-start outcome into the step_* counters; a failed decision counts
+// one step_solve_errors.
+func (e *Engine) observeStepDecide(ds core.DecideStats, err error) {
+	for _, st := range ds.Solves[:ds.NSolves] {
+		e.reg.Histogram("step_solve_nanos").ObserveDuration(st.SolveNanos)
+		// Assembly/factorization split (only for solves that actually
+		// entered the barrier — degenerate full-speed steps report zeros
+		// and would skew the distributions toward 0).
+		if st.NewtonIters > 0 {
+			e.reg.Histogram("solve_assemble_nanos").ObserveDuration(st.AssembleNanos)
+			e.reg.Histogram("solve_factor_nanos").ObserveDuration(st.FactorNanos)
+		}
+		e.reg.Counter("step_solves").Inc()
+		if st.Warm {
+			e.reg.Counter("step_warm_hits").Inc()
+		}
+		if st.WarmRejected {
+			e.reg.Counter("step_warm_rejects").Inc()
+		}
 	}
 	if err != nil {
 		e.reg.Counter("step_solve_errors").Inc()

@@ -54,8 +54,7 @@ func TestEngineDefaults(t *testing.T) {
 	}
 }
 
-// The redesign's reason-to-exist: explicit zero values that the legacy
-// SystemConfig silently replaced with defaults are now representable.
+// An explicit zero option takes effect rather than selecting a default.
 func TestExplicitZeroUncoreShare(t *testing.T) {
 	e, err := New(fastOpts(WithUncoreShare(0))...)
 	if err != nil {
@@ -64,13 +63,85 @@ func TestExplicitZeroUncoreShare(t *testing.T) {
 	if got := e.Chip().TotalUncorePower(); got != 0 {
 		t.Fatalf("WithUncoreShare(0) gave %g W uncore", got)
 	}
-	// The legacy shim keeps the old zero-means-default contract.
-	s, err := NewSystem(SystemConfig{UncoreShare: 0, Dt: 1e-3, WindowSteps: 100})
+}
+
+func TestOptimizeEndToEnd(t *testing.T) {
+	e, err := New(fastOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Chip.TotalUncorePower(); got == 0 {
-		t.Fatal("legacy SystemConfig{UncoreShare: 0} should default to 30%, got 0")
+	a, err := e.OptimizeVariant(context.Background(), 60, 500e6, core.VariantVariable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a.Feasible {
+		t.Fatal("expected feasible point")
+	}
+	if a.PeakTemp > e.TMax()+0.01 {
+		t.Fatalf("peak %.2f", a.PeakTemp)
+	}
+	if math.Abs(a.AvgFreq-500e6) > 15e6 {
+		t.Fatalf("avg freq %.0f MHz, want ≈500", a.AvgFreq/1e6)
+	}
+}
+
+func TestTableControllerSimulatePipeline(t *testing.T) {
+	e, err := New(fastOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	table, err := e.GenerateTableGrid(ctx,
+		[]float64{47, 67, 87, 100},
+		[]float64{250e6, 500e6, 750e6, 1000e6},
+		core.VariantVariable,
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pro, err := e.ProTempPolicy(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Simulate(ctx, pro, mustTrace(t, e), RecordBlocks("P1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MaxCoreTemp > e.TMax()+0.01 {
+		t.Fatalf("guarantee broken through the table policy: %.2f", res.MaxCoreTemp)
+	}
+	if res.Series["P1"].Len() == 0 {
+		t.Fatal("series not recorded")
+	}
+	ctrl, err := e.Controller(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := ctrl.Decide(60, 400e6); d.Idle {
+		t.Fatal("controller idled unexpectedly")
+	}
+}
+
+func TestPolicyConstructors(t *testing.T) {
+	e, err := New(fastOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.BasicDFSPolicy(0); err == nil {
+		t.Error("zero threshold accepted")
+	}
+	if _, err := e.BasicDFSPolicy(150); err == nil {
+		t.Error("threshold above tmax accepted")
+	}
+	b, err := e.BasicDFSPolicy(90)
+	if err != nil || b.Name() != "Basic-DFS" {
+		t.Fatalf("BasicDFSPolicy: %v, %v", b, err)
+	}
+	if e.NoTCPolicy().Name() != "No-TC" {
+		t.Fatal("NoTCPolicy name")
+	}
+	if _, err := e.ProTempPolicy(&core.Table{}); err == nil {
+		t.Error("invalid table accepted")
 	}
 }
 
@@ -91,6 +162,15 @@ func TestOptionValidation(t *testing.T) {
 		if _, err := New(opts...); err == nil {
 			t.Errorf("case %d: invalid option accepted", i)
 		}
+	}
+}
+
+func TestWindowRejectsUnstableStep(t *testing.T) {
+	if _, err := New(WithWindow(10, 250)); err == nil {
+		t.Fatal("unstable Euler step accepted")
+	}
+	if _, err := New(fastOpts(WithWindow(10, 250))...); err == nil {
+		t.Fatal("unstable Euler step accepted after fast options")
 	}
 }
 

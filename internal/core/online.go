@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"time"
 
 	"protemp/internal/linalg"
 	"protemp/internal/obs"
@@ -45,6 +47,8 @@ type OnlineStepStats struct {
 	// (full-speed) steps that never enter the barrier.
 	AssembleNanos int64
 	FactorNanos   int64
+	// SolveNanos is the Solve call's wall time, errors included.
+	SolveNanos int64
 }
 
 // OnlineSolver is the warm-started engine of the online MPC hot path:
@@ -115,6 +119,9 @@ func (o *OnlineSolver) Warm() bool { return o.prevX != nil }
 // Invalidate drops the warm state; the next Solve starts cold.
 func (o *OnlineSolver) Invalidate() { o.prevX = nil }
 
+// Chip returns the chip the solver controls.
+func (o *OnlineSolver) Chip() *power.Chip { return o.spec.Chip }
+
 // SetRecorder installs (or, with nil, removes) the trace recorder the
 // next Solve calls report to. Callers must never pass a typed-nil
 // concrete value; the disabled state is the nil interface. Like Solve
@@ -133,6 +140,13 @@ func (o *OnlineSolver) SetRecorder(rec obs.Recorder) { o.rec = rec }
 // ctx.Err(); per the invalidate-on-error contract the warm state is
 // dropped, so the following Solve is a correct cold solve.
 func (o *OnlineSolver) Solve(ctx context.Context, tstart float64, t0 []float64, ftarget float64) (*Assignment, OnlineStepStats, error) {
+	start := time.Now()
+	a, st, err := o.solve(ctx, tstart, t0, ftarget)
+	st.SolveNanos = time.Since(start).Nanoseconds()
+	return a, st, err
+}
+
+func (o *OnlineSolver) solve(ctx context.Context, tstart float64, t0 []float64, ftarget float64) (*Assignment, OnlineStepStats, error) {
 	var st OnlineStepStats
 	var spec *Spec
 	if t0 != nil {
@@ -204,4 +218,108 @@ func (o *OnlineSolver) Solve(ctx context.Context, tstart float64, t0 []float64, 
 	// follows (warmSeed re-validates it against the refreshed offsets,
 	// so a stale seed degrades to a cold solve, never a wrong one).
 	return a, st, nil
+}
+
+// Window-target policy of the run-time ladder.
+const (
+	// minTargetShare floors nonzero demand at this share of fmax:
+	// solving at exactly a tiny required average lets the final tasks
+	// crawl (the pending work decays geometrically as they shrink),
+	// whereas the paper's table policy inherently floors at its lowest
+	// stored column.
+	minTargetShare = 0.1
+	// downgradeMargin places the downgraded re-solve just inside the
+	// bisected maximum uniform target, where the full program is
+	// strictly feasible.
+	downgradeMargin = 0.98
+)
+
+// WindowTarget turns a window's raw required frequency (Hz) into the
+// target the decision ladder solves at: NaN or negative demand is 0,
+// demand above fmax is capped at fmax, and nonzero demand is floored at
+// minTargetShare of fmax.
+func WindowTarget(required, fmax float64) float64 {
+	switch {
+	case math.IsNaN(required) || required <= 0:
+		return 0
+	case required > fmax:
+		return fmax
+	case required < minTargetShare*fmax:
+		return minTargetShare * fmax
+	}
+	return required
+}
+
+// DecideStats reports one Decide call: the outcome of each Solve it ran
+// and the ladder rung that decided the window.
+type DecideStats struct {
+	// Solves[:NSolves] are the per-solve outcomes in call order (the
+	// target, then the downgraded re-solve), a failed solve included.
+	Solves  [2]OnlineStepStats
+	NSolves int
+	// Bisected reports that the target was unsupportable and the
+	// largest supportable uniform target was bisected.
+	Bisected bool
+	// Downgraded reports that the bisection found a supportable target
+	// and the window was re-solved just inside it.
+	Downgraded bool
+	// Idle reports that nothing was supportable and the window idled.
+	Idle bool
+}
+
+// Decide is the run-time phase's window decision ladder: solve at
+// target; if that is unsupportable from the observed state, bisect the
+// largest supportable uniform target over the rows Solve has just
+// rewritten for this window and re-solve at min(target,
+// downgradeMargin·max) — the run-time analogue of the paper's "next
+// lower frequency point" rule; if that fails too, idle the window. An
+// idle window is a feasible zero-frequency assignment.
+//
+// The bisection is recorded as a "bisect" solve span on the installed
+// recorder; marking the step a fallback is left to the caller that
+// owns the trace. Cancelling ctx aborts at the next Newton iteration or
+// bisection probe with ctx.Err(), dropping the warm state.
+func (o *OnlineSolver) Decide(ctx context.Context, tstart float64, t0 []float64, target float64) (*Assignment, DecideStats, error) {
+	var ds DecideStats
+	a, st, err := o.Solve(ctx, tstart, t0, target)
+	ds.Solves[0], ds.NSolves = st, 1
+	if err != nil || a.Feasible {
+		return a, ds, err
+	}
+
+	ds.Bisected = true
+	if o.rec != nil {
+		o.rec.SolveStart(target)
+		o.rec.Rung("bisect")
+	}
+	fnMax, err := maxUniformPhi(ctx, o.spec.Chip, o.spec.TMax, o.inst.rows)
+	if o.rec != nil {
+		o.rec.SolveEnd(fnMax > 0, err)
+	}
+	if err != nil {
+		o.prevX = nil
+		return nil, ds, err
+	}
+	if fnMax <= 0 {
+		ds.Idle = true
+		return o.idle(), ds, nil
+	}
+	ds.Downgraded = true
+	maxF := fnMax * o.spec.Chip.FMax()
+	a, st, err = o.Solve(ctx, tstart, t0, math.Min(target, downgradeMargin*maxF))
+	ds.Solves[1], ds.NSolves = st, 2
+	if err != nil {
+		return nil, ds, err
+	}
+	if !a.Feasible {
+		ds.Idle = true
+		return o.idle(), ds, nil
+	}
+	return a, ds, nil
+}
+
+// idle is the zero-frequency window assignment.
+func (o *OnlineSolver) idle() *Assignment {
+	n := o.spec.Chip.NumCores()
+	return &Assignment{Feasible: true, Freqs: make([]float64, n), Powers: make([]float64, n)}
 }

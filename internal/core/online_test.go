@@ -6,6 +6,8 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
+
+	"protemp/internal/obs"
 )
 
 // onlineSpec builds the fixture's OnlineSpec at the given variant.
@@ -244,5 +246,126 @@ func TestOnlineSolverRejectsBadMap(t *testing.T) {
 	}
 	if _, _, err := o.Solve(context.Background(), 0, thermalMap(t, 60), 0.5*fmax); err != nil {
 		t.Fatalf("solver unusable after bad inputs: %v", err)
+	}
+}
+
+// cancelOnBisect is a recorder that cancels the step's context when the
+// decision ladder opens its bisection span.
+type cancelOnBisect struct{ cancel context.CancelFunc }
+
+func (r cancelOnBisect) SolveStart(float64)                                {}
+func (r cancelOnBisect) WarmDecision(bool, bool, string)                   {}
+func (r cancelOnBisect) Centering(float64, int, bool, int64, int64, int64) {}
+func (r cancelOnBisect) SolveEnd(bool, error)                              {}
+func (r cancelOnBisect) Outer(int, float64, float64)                       {}
+func (r cancelOnBisect) Fallback(string)                                   {}
+func (r cancelOnBisect) Cluster(int) obs.Recorder                          { return r }
+func (r cancelOnBisect) Rung(name string) {
+	if name == "bisect" {
+		r.cancel()
+	}
+}
+
+// TestDecideLadder walks each rung of the window decision ladder from a
+// warm solver: a supportable target is one solve; an unsupportable one
+// re-solves just inside the bisected uniform maximum; a start too hot
+// for any frequency idles; and a cancellation inside the bisection
+// returns ctx.Err() and drops the warm state.
+func TestDecideLadder(t *testing.T) {
+	f := niagaraFixture(t)
+	fmax := f.chip.FMax()
+	cases := []struct {
+		name           string
+		tstart, target float64
+		cancelBisect   bool
+		wantSolves     int
+		wantBisected   bool
+		wantDowngraded bool
+		wantIdle       bool
+	}{
+		{name: "feasible", tstart: 60, target: 0.5 * fmax, wantSolves: 1},
+		{name: "downgrade", tstart: 95, target: 0.95 * fmax, wantSolves: 2, wantBisected: true, wantDowngraded: true},
+		{name: "idle", tstart: 120, target: 0.5 * fmax, wantSolves: 1, wantBisected: true, wantIdle: true},
+		{name: "cancel-in-bisect", tstart: 95, target: 0.95 * fmax, cancelBisect: true, wantSolves: 1, wantBisected: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			o, err := NewOnlineSolver(onlineSpec(t, VariantVariable))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := o.Solve(context.Background(), 60, nil, 0.4*fmax); err != nil || !o.Warm() {
+				t.Fatalf("warm-up solve: warm=%v err=%v", o.Warm(), err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if tc.cancelBisect {
+				o.SetRecorder(cancelOnBisect{cancel: cancel})
+			}
+
+			a, ds, err := o.Decide(ctx, tc.tstart, nil, tc.target)
+			if ds.NSolves != tc.wantSolves || ds.Bisected != tc.wantBisected ||
+				ds.Downgraded != tc.wantDowngraded || ds.Idle != tc.wantIdle {
+				t.Fatalf("stats %+v, want solves=%d bisected=%v downgraded=%v idle=%v",
+					ds, tc.wantSolves, tc.wantBisected, tc.wantDowngraded, tc.wantIdle)
+			}
+			if tc.cancelBisect {
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("cancelled bisection returned %v, want context.Canceled", err)
+				}
+				if o.Warm() {
+					t.Fatal("warm state survived a cancelled bisection")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !a.Feasible || a.PeakTemp > 100+1e-6 {
+				t.Fatalf("assignment feasible=%v peak=%.3f", a.Feasible, a.PeakTemp)
+			}
+			switch {
+			case tc.wantIdle:
+				for j, fj := range a.Freqs {
+					if fj != 0 {
+						t.Fatalf("idle window runs core %d at %g Hz", j, fj)
+					}
+				}
+			case tc.wantDowngraded:
+				maxF, _, err := SolveUniformBisect(&Spec{
+					Chip: f.chip, Window: f.window, TMax: 100, TStart: tc.tstart, FTarget: tc.target,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := math.Min(tc.target, downgradeMargin*maxF)
+				if d := math.Abs(a.AvgFreq - want); d > 1e-3*fmax {
+					t.Fatalf("downgraded average %.0f Hz, want %.0f (0.98 of bisected max)", a.AvgFreq, want)
+				}
+			default:
+				if d := math.Abs(a.AvgFreq - tc.target); d > 1e-3*fmax {
+					t.Fatalf("average %.0f Hz, want the target %.0f", a.AvgFreq, tc.target)
+				}
+			}
+		})
+	}
+}
+
+func TestWindowTarget(t *testing.T) {
+	const fmax = 1e9
+	for _, tc := range []struct {
+		required, want float64
+	}{
+		{math.NaN(), 0},
+		{-1e8, 0},
+		{0, 0},
+		{math.Inf(1), fmax},
+		{2 * fmax, fmax},
+		{0.05 * fmax, 0.1 * fmax},
+		{0.5 * fmax, 0.5 * fmax},
+	} {
+		if got := WindowTarget(tc.required, fmax); got != tc.want {
+			t.Errorf("WindowTarget(%g) = %g, want %g", tc.required, got, tc.want)
+		}
 	}
 }

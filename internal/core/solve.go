@@ -8,6 +8,7 @@ import (
 
 	"protemp/internal/linalg"
 	"protemp/internal/obs"
+	"protemp/internal/power"
 	"protemp/internal/solver"
 )
 
@@ -171,31 +172,31 @@ func solveLadder(ctx context.Context, s *Spec, prob *solver.Problem, lay layout,
 // frequency means more power means higher temperatures everywhere), so
 // the optimum is the largest feasible f if that exceeds the target, or
 // the target itself when the target is feasible. It is an independent
-// cross-check of the barrier path and is also what the run-time
-// fallback uses for off-grid targets.
+// cross-check of the barrier path.
 //
 // It returns the maximum supportable average frequency in Hz and whether
 // the requested target is supportable.
 func SolveUniformBisect(s *Spec) (maxFreq float64, targetOK bool, err error) {
-	return SolveUniformBisectContext(context.Background(), s)
-}
-
-// SolveUniformBisectContext is SolveUniformBisect with cancellation:
-// ctx is polled at every bisection probe, so a session cancelled
-// mid-Step does not keep evaluating thermal rows for a caller that has
-// already gone away.
-func SolveUniformBisectContext(ctx context.Context, s *Spec) (maxFreq float64, targetOK bool, err error) {
 	if err := s.Validate(); err != nil {
-		return 0, false, err
-	}
-	if err := ctx.Err(); err != nil {
 		return 0, false, err
 	}
 	rows, err := s.tempRows()
 	if err != nil {
 		return 0, false, err
 	}
-	fmax := s.Chip.FMax()
+	fnMax, err := maxUniformPhi(context.Background(), s.Chip, s.TMax, rows)
+	if err != nil || fnMax <= 0 {
+		return 0, false, err
+	}
+	maxFreq = fnMax * s.Chip.FMax()
+	return maxFreq, maxFreq+1e-3 >= s.FTarget, nil
+}
+
+// maxUniformPhi bisects the largest normalized uniform frequency whose
+// peak over rows stays within tmax; 0 when not even idle does. ctx is
+// polled at every probe, so a caller that has gone away does not keep
+// evaluating thermal rows.
+func maxUniformPhi(ctx context.Context, chip *power.Chip, tmax float64, rows []tempRow) (float64, error) {
 	cancelled := false
 	feasible := func(fn float64) bool {
 		if cancelled || ctx.Err() != nil {
@@ -204,25 +205,22 @@ func SolveUniformBisectContext(ctx context.Context, s *Spec) (maxFreq float64, t
 			cancelled = true
 			return false
 		}
-		return uniformPeak(s, rows, fn) <= s.TMax
+		return uniformPeak(chip, rows, fn) <= tmax
 	}
-	fnMax, ok := solver.BisectMax(0, 1, 1e-7, feasible)
+	fnMax, _ := solver.BisectMax(0, 1, 1e-7, feasible)
 	if cancelled {
-		return 0, false, ctx.Err()
+		return 0, ctx.Err()
 	}
-	if !ok {
-		return 0, false, nil
-	}
-	return fnMax * fmax, fnMax*fmax+1e-3 >= s.FTarget, nil
+	return fnMax, nil
 }
 
 // uniformPeak returns the peak constrained temperature over the window
 // when every core runs at normalized frequency fn.
-func uniformPeak(s *Spec, rows []tempRow, fn float64) float64 {
-	n := s.Chip.NumCores()
+func uniformPeak(chip *power.Chip, rows []tempRow, fn float64) float64 {
+	n := chip.NumCores()
 	pn := linalg.NewVector(n)
 	for j := 0; j < n; j++ {
-		model := s.Chip.CoreModelOf(j)
+		model := chip.CoreModelOf(j)
 		pn[j] = model.AtFrequency(fn*model.FMax) / model.PMax
 	}
 	peak := math.Inf(-1)
@@ -237,7 +235,7 @@ func uniformPeak(s *Spec, rows []tempRow, fn float64) float64 {
 // fullSpeedAssignment evaluates the single candidate point f = fmax
 // against prebuilt temperature rows.
 func fullSpeedAssignment(s *Spec, rows []tempRow) (*Assignment, error) {
-	if uniformPeak(s, rows, 1) > s.TMax {
+	if uniformPeak(s.Chip, rows, 1) > s.TMax {
 		return &Assignment{}, nil
 	}
 	n := s.Chip.NumCores()

@@ -78,6 +78,17 @@ func (r *goldenRig) dmpcSolver(t *testing.T, v core.Variant, clusters int) *dmpc
 	return sol
 }
 
+// online builds the centralized online policy the distributed solver
+// is pinned against.
+func (r *goldenRig) online(t *testing.T, v core.Variant) *sim.ProTempOnline {
+	t.Helper()
+	ol, err := core.NewOnlineSolver(core.OnlineSpec{Chip: r.chip, Window: r.window, TMax: goldenTMax, Variant: v})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &sim.ProTempOnline{Solver: ol}
+}
+
 // recorder captures every window decision a policy makes.
 type recorder struct {
 	inner     sim.Policy
@@ -142,7 +153,7 @@ func TestGoldenSingleClusterMatchesCentralized(t *testing.T) {
 	const tolHz = 1e3 // 1e-6 of fmax: well inside the duality-gap tolerance
 	for _, v := range []core.Variant{core.VariantVariable, core.VariantUniform, core.VariantGradient} {
 		t.Run(v.String(), func(t *testing.T) {
-			central := &sim.ProTempOnline{Chip: r.chip, Window: r.window, TMax: goldenTMax, Variant: v}
+			central := r.online(t, v)
 			distributed := &sim.ProTempDMPC{Solver: r.dmpcSolver(t, v, 1)}
 			resC, recC := r.run(t, central, 11, nil)
 			resD, recD := r.run(t, distributed, 11, nil)
@@ -174,7 +185,7 @@ func TestGoldenDropoutBurst(t *testing.T) {
 			Seed:    3,
 		}
 	}
-	central := &sim.ProTempOnline{Chip: r.chip, Window: r.window, TMax: goldenTMax}
+	central := r.online(t, core.VariantVariable)
 	distributed := &sim.ProTempDMPC{Solver: r.dmpcSolver(t, core.VariantVariable, 1)}
 	resC, recC := r.run(t, central, 12, sn())
 	resD, recD := r.run(t, distributed, 12, sn())

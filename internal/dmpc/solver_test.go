@@ -103,6 +103,30 @@ func TestFallbackCentralized(t *testing.T) {
 	}
 }
 
+// TestCentralFallbackDowngradeCountsWarmOutcome forces central-fallback
+// windows that downgrade: from a hot start the target is unsupportable,
+// so the centralized rung bisects and re-solves. After the first such
+// window every solver — each cluster's and the central one — holds an
+// optimum, so every solve of the second window reports a warm hit or a
+// warm reject, the downgraded central re-solve included.
+func TestCentralFallbackDowngradeCountsWarmOutcome(t *testing.T) {
+	s := niagaraSolver(t, Options{Clusters: 2, MaxOuter: 1, PrimalTolC: 1e-12, AcceptTolC: 1e-12})
+	var stats StepStats
+	for w := 0; w < 2; w++ {
+		var err error
+		if _, stats, err = s.Solve(context.Background(), 95, nil, 0.95e9); err != nil {
+			t.Fatal(err)
+		}
+		if !stats.Fallback || stats.Downgrades == 0 || stats.Idles != 0 {
+			t.Fatalf("window %d: want a downgrading fallback window, got %+v", w, stats)
+		}
+	}
+	if got := stats.WarmHits + stats.WarmRejects; got != stats.ClusterSolves {
+		t.Fatalf("warm hits %d + rejects %d cover %d of %d solves",
+			stats.WarmHits, stats.WarmRejects, got, stats.ClusterSolves)
+	}
+}
+
 // TestFallbackWorstCase forces the conservative rung (FallbackCores
 // below the chip size): every halo pinned to TMax must still yield a
 // usable, in-range decision.

@@ -614,17 +614,19 @@ func (r *Runner) buildPolicy(ctx context.Context, p PolicySpec, tmax float64) (s
 		if err != nil {
 			return nil, "", err
 		}
-		// No Phase-1 table: the policy compiles its problem once on
-		// first Decide and warm-starts every window's solve from the
-		// previous optimum; the histogram feeds the Summary's latency
-		// quantiles.
-		// The one-deep flight recorder keeps exactly the slowest
-		// window's trace for the Summary.
+		// No Phase-1 table: the problem is compiled once here and every
+		// window's solve warm-starts from the previous optimum; the
+		// histogram feeds the Summary's latency quantiles, and the
+		// one-deep flight recorder keeps exactly the slowest window's
+		// trace for the Summary.
+		ol, err := core.NewOnlineSolver(core.OnlineSpec{
+			Chip: chip, Window: r.eng.Window(), TMax: tmax, Variant: v,
+		})
+		if err != nil {
+			return nil, "", err
+		}
 		return &sim.ProTempOnline{
-			Chip:       chip,
-			Window:     r.eng.Window(),
-			TMax:       tmax,
-			Variant:    v,
+			Solver:     ol,
 			SolveNanos: &metrics.Histogram{},
 			Flight:     obs.NewFlightRecorder(1, 1),
 		}, "", nil

@@ -121,9 +121,6 @@ type Server struct {
 	tableRequests  *metrics.Counter
 	tableServes    *metrics.Counter
 	optimizes      *metrics.Counter
-	// deprecatedOnline counts session creates still using the retired
-	// `online` field — drop the shim when this stays zero.
-	deprecatedOnline *metrics.Counter
 }
 
 // New builds a Server and starts its session reaper.
@@ -157,23 +154,22 @@ func New(cfg Config) (*Server, error) {
 	}
 	reg := metrics.NewRegistry()
 	s := &Server{
-		engine:           cfg.Engine,
-		cluster:          cfg.Cluster,
-		sessions:         newSessionManager(cfg.Shards, cfg.SessionTTL, cfg.ReapInterval, reg, cfg.now),
-		fleet:            newFleetManager(cfg.Engine, cfg.MaxFleetRuns, cfg.MaxFleetJobs, reg, cfg.now),
-		reg:              reg,
-		mux:              http.NewServeMux(),
-		cfg:              cfg,
-		log:              cfg.Logger,
-		knownSpecs:       make(map[string]tableSpecArgs),
-		requests:         reg.Counter("http_requests"),
-		errorsCount:      reg.Counter("http_errors"),
-		streamWindows:    reg.Counter("stream_windows"),
-		streamDegraded:   reg.Counter("stream_degraded_windows"),
-		tableRequests:    reg.Counter("table_requests"),
-		tableServes:      reg.Counter("table_peer_serves"),
-		optimizes:        reg.Counter("optimize_requests"),
-		deprecatedOnline: reg.Counter("deprecated_online_requests"),
+		engine:         cfg.Engine,
+		cluster:        cfg.Cluster,
+		sessions:       newSessionManager(cfg.Shards, cfg.SessionTTL, cfg.ReapInterval, reg, cfg.now),
+		fleet:          newFleetManager(cfg.Engine, cfg.MaxFleetRuns, cfg.MaxFleetJobs, reg, cfg.now),
+		reg:            reg,
+		mux:            http.NewServeMux(),
+		cfg:            cfg,
+		log:            cfg.Logger,
+		knownSpecs:     make(map[string]tableSpecArgs),
+		requests:       reg.Counter("http_requests"),
+		errorsCount:    reg.Counter("http_errors"),
+		streamWindows:  reg.Counter("stream_windows"),
+		streamDegraded: reg.Counter("stream_degraded_windows"),
+		tableRequests:  reg.Counter("table_requests"),
+		tableServes:    reg.Counter("table_peer_serves"),
+		optimizes:      reg.Counter("optimize_requests"),
 	}
 	s.admission = cluster.NewAdmission(cfg.Admission, func() (uint64, uint64) {
 		return cfg.Engine.StepLatencyQuantile(0.95)
@@ -637,31 +633,11 @@ func (s *Server) handleTableGet(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// sessionCreateWire is api.SessionCreateRequest plus the deprecated
-// pre-Mode `online` flag old clients still send. Only the server
-// carries the shim; the public api struct no longer names the field.
-type sessionCreateWire struct {
-	api.SessionCreateRequest
-	// Online is the deprecated spelling of mode "online"; Mode wins
-	// when both are set.
-	Online *bool `json:"online,omitempty"`
-}
-
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	var wire sessionCreateWire
-	if err := decodeJSON(r, &wire); err != nil {
+	var req api.SessionCreateRequest
+	if err := decodeJSON(r, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
-	}
-	req := wire.SessionCreateRequest
-	if wire.Online != nil {
-		s.deprecatedOnline.Inc()
-		s.log.LogAttrs(r.Context(), slog.LevelWarn, "deprecated session create field",
-			slog.String("field", "online"),
-			slog.String("hint", `use "mode": "online" instead; the online field will be removed`))
-		if req.Mode == "" && *wire.Online {
-			req.Mode = "online"
-		}
 	}
 	mode := req.Mode
 	if mode == "" {

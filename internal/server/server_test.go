@@ -442,6 +442,36 @@ func TestBadRequestBodies(t *testing.T) {
 	}
 }
 
+// TestSessionCreateRejectsOnlineField: the retired `online` boolean is an
+// unknown field now, alone or next to an explicit mode, and creates nothing.
+func TestSessionCreateRejectsOnlineField(t *testing.T) {
+	_, ts := newTestServer(t, fastEngine(t))
+	for _, body := range []string{
+		`{"online": true}`,
+		`{"online": false}`,
+		`{"online": true, "mode": "table"}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e api.Error
+		json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || e.Message == "" {
+			t.Fatalf("%s: status %d error %q", body, resp.StatusCode, e.Message)
+		}
+	}
+	var m map[string]uint64
+	getJSON(t, ts.URL+"/metrics", &m)
+	if m["sessions_active"] != 0 {
+		t.Fatalf("sessions_active = %d after rejected creates", m["sessions_active"])
+	}
+	if _, ok := m["deprecated_online_requests"]; ok {
+		t.Fatal("retired deprecated_online_requests counter still exported")
+	}
+}
+
 func TestMetricsEndpointShape(t *testing.T) {
 	engine := fastEngine(t)
 	_, ts := newTestServer(t, engine)

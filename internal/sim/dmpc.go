@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"protemp/internal/core"
 	"protemp/internal/dmpc"
 	"protemp/internal/linalg"
 	"protemp/internal/metrics"
@@ -51,10 +52,9 @@ func (p *ProTempDMPC) Name() string {
 	return fmt.Sprintf("Pro-Temp-DMPC(%d)", p.Solver.Clusters())
 }
 
-// Decide implements Policy. The downgrade ladder (bisect the largest
-// supportable uniform target, else idle) runs per cluster inside the
-// solver; on any solver failure the window idles, which is always
-// thermally safe.
+// Decide implements Policy. The window decision ladder runs per cluster
+// inside the solver; on any solver failure the window idles, which is
+// always thermally safe.
 func (p *ProTempDMPC) Decide(st WindowState) linalg.Vector {
 	chip := p.Solver.Chip()
 	n := chip.NumCores()
@@ -64,10 +64,7 @@ func (p *ProTempDMPC) Decide(st WindowState) linalg.Vector {
 	if st.SensingDegraded {
 		p.Solver.Invalidate()
 	}
-	required := clampFreq(st.RequiredFreq, chip.FMax())
-	if required > 0 && required < 0.1*chip.FMax() {
-		required = 0.1 * chip.FMax()
-	}
+	required := core.WindowTarget(st.RequiredFreq, chip.FMax())
 
 	tr := p.Flight.StartStep("dmpc")
 	if tr != nil {

@@ -2,15 +2,11 @@ package sim
 
 import (
 	"context"
-	"math"
-	"time"
 
 	"protemp/internal/core"
 	"protemp/internal/linalg"
 	"protemp/internal/metrics"
 	"protemp/internal/obs"
-	"protemp/internal/power"
-	"protemp/internal/thermal"
 )
 
 // ProTempOnline is the model-predictive extension the paper's §3.2
@@ -22,26 +18,20 @@ import (
 // while recovering the headroom the conservative max-temperature
 // rounding gives away, at the cost of run-time compute.
 //
-// That run-time compute is warm-started: the policy compiles its
-// problem structure once on first Decide and seeds each window's
-// barrier from the previous window's optimum (core.OnlineSolver), so
-// the steady-state per-window cost is an offset rewrite plus a short
-// warm centering, not a full problem assembly plus the cold start
-// ladder. A policy is not safe for concurrent use (sim drives one
-// policy per run).
+// That run-time compute is warm-started: the compiled solver seeds
+// each window's barrier from the previous window's optimum, so the
+// steady-state per-window cost is an offset rewrite plus a short warm
+// centering, not a full problem assembly plus the cold start ladder. A
+// policy is not safe for concurrent use (sim drives one policy per
+// run).
 type ProTempOnline struct {
-	Chip   *power.Chip
-	Window *thermal.WindowResponse
-	TMax   float64
-	// Variant selects the optimization model; the zero value is the
-	// paper's per-core VariantVariable.
-	Variant core.Variant
+	// Solver is the compiled online solver (required).
+	Solver *core.OnlineSolver
 
-	// Solves and Infeasible count run-time optimizer activity.
-	Solves     int
-	Infeasible int
-	// WarmHits / WarmRejects count warm-start outcomes across solves;
-	// SolveNanosTotal accumulates solve wall time.
+	// Solves counts run-time optimizer calls; WarmHits / WarmRejects
+	// count their warm-start outcomes; SolveNanosTotal accumulates
+	// solve wall time.
+	Solves          int
 	WarmHits        int
 	WarmRejects     int
 	SolveNanosTotal int64
@@ -53,131 +43,51 @@ type ProTempOnline struct {
 	// sim/fleet analogue of the engine's flight recorder. Nil (the
 	// default) adds nothing to the window path.
 	Flight *obs.FlightRecorder
-
-	ol       *core.OnlineSolver
-	compiled bool // compile attempted; ol == nil afterwards means solve cold
-	tr       *obs.Trace
 }
 
 // Name implements Policy.
 func (p *ProTempOnline) Name() string { return "Pro-Temp-Online" }
 
-// Decide implements Policy. On any solver failure it falls back to an
-// idle window, which is always thermally safe.
+// Decide implements Policy: one pass of the solver's window decision
+// ladder. On any solver failure it falls back to an idle window, which
+// is always thermally safe.
 func (p *ProTempOnline) Decide(st WindowState) linalg.Vector {
-	if p.Flight == nil {
-		freqs, _ := p.decide(st, nil)
-		return freqs
-	}
-	tr := p.Flight.StartStep("online")
-	p.tr = tr
-	freqs, err := p.decide(st, tr)
-	p.tr = nil
-	if p.ol != nil {
-		p.ol.SetRecorder(nil)
-	}
-	p.Flight.EndStep(tr, err)
-	return freqs
-}
-
-// decide is the window decision rule; tr, when non-nil, receives the
-// solve anatomy. The returned error reports why a window idled (nil
-// when the decision is a real assignment) — Decide's trace filing
-// uses it, the policy API swallows it.
-func (p *ProTempOnline) decide(st WindowState, tr *obs.Trace) (linalg.Vector, error) {
-	n := p.Chip.NumCores()
+	chip := p.Solver.Chip()
 	// A full-dropout sensing window means this state is pure prediction:
 	// drop the warm optimum so the blind window's solution never seeds
-	// the next real one (PR 5's invalidate-on-error contract).
-	if st.SensingDegraded && p.ol != nil {
-		p.ol.Invalidate()
+	// the next real one.
+	if st.SensingDegraded {
+		p.Solver.Invalidate()
 	}
-	required := clampFreq(st.RequiredFreq, p.Chip.FMax())
-	// Floor nonzero demand at 10% of fmax: solving at exactly the
-	// required average lets the final tasks crawl (the pending-work
-	// metric decays geometrically as they shrink), whereas the paper's
-	// table policy inherently floors at its lowest stored column.
-	if required > 0 && required < 0.1*p.Chip.FMax() {
-		required = 0.1 * p.Chip.FMax()
-	}
+	required := core.WindowTarget(st.RequiredFreq, chip.FMax())
 
-	a, err := p.solve(st.MaxCoreTemp, st.BlockTemps, required)
-	if err == nil && a.Feasible {
-		return linalg.VectorOf(a.Freqs...), nil
-	}
-	p.Infeasible++
-
-	// The required target is unsupportable from this map: find the
-	// largest supportable uniform target cheaply, then re-solve the full
-	// program just inside it (the run-time analogue of the paper's
-	// "next lower frequency point" fallback).
+	tr := p.Flight.StartStep("online")
 	if tr != nil {
-		tr.Fallback("bisect-downgrade")
-		tr.SolveStart(required)
-		tr.Rung("bisect")
+		p.Solver.SetRecorder(tr)
 	}
-	spec := &core.Spec{
-		Chip:    p.Chip,
-		Window:  p.Window,
-		TMax:    p.TMax,
-		TStart:  st.MaxCoreTemp,
-		FTarget: required,
-		Variant: p.Variant,
-		T0:      st.BlockTemps,
-	}
-	maxF, _, err := core.SolveUniformBisect(spec)
+	a, ds, err := p.Solver.Decide(context.Background(), st.MaxCoreTemp, st.BlockTemps, required)
 	if tr != nil {
-		tr.SolveEnd(maxF > 0, err)
-	}
-	if err != nil || maxF <= 0 {
-		return linalg.NewVector(n), err
-	}
-	a, err = p.solve(st.MaxCoreTemp, st.BlockTemps, math.Min(required, 0.98*maxF))
-	if err != nil || !a.Feasible {
-		return linalg.NewVector(n), err
-	}
-	return linalg.VectorOf(a.Freqs...), nil
-}
-
-// solve runs one timed, warm-capable solve, compiling the online
-// problem on first use. If the compile ever fails (a structurally
-// invalid configuration) the policy degrades to per-window cold solves
-// rather than panicking mid-simulation.
-func (p *ProTempOnline) solve(tstart float64, t0 []float64, ftarget float64) (*core.Assignment, error) {
-	if !p.compiled {
-		p.compiled = true
-		p.ol, _ = core.NewOnlineSolver(core.OnlineSpec{
-			Chip: p.Chip, Window: p.Window, TMax: p.TMax, Variant: p.Variant,
-		})
-	}
-	p.Solves++
-	start := time.Now()
-	var (
-		a     *core.Assignment
-		stats core.OnlineStepStats
-		err   error
-	)
-	if p.ol != nil {
-		if p.tr != nil {
-			p.ol.SetRecorder(p.tr)
+		if ds.Bisected {
+			tr.Fallback("bisect-downgrade")
 		}
-		a, stats, err = p.ol.Solve(context.Background(), tstart, t0, ftarget)
-	} else {
-		a, err = core.Solve(&core.Spec{
-			Chip: p.Chip, Window: p.Window, TMax: p.TMax,
-			TStart: tstart, FTarget: ftarget, Variant: p.Variant, T0: t0,
-		})
+		p.Solver.SetRecorder(nil)
+		p.Flight.EndStep(tr, err)
 	}
-	elapsed := time.Since(start).Nanoseconds()
-	p.SolveNanosTotal += elapsed
-	if p.SolveNanos != nil {
-		p.SolveNanos.ObserveDuration(elapsed)
+	for _, sst := range ds.Solves[:ds.NSolves] {
+		p.Solves++
+		p.SolveNanosTotal += sst.SolveNanos
+		if p.SolveNanos != nil {
+			p.SolveNanos.ObserveDuration(sst.SolveNanos)
+		}
+		if sst.Warm {
+			p.WarmHits++
+		}
+		if sst.WarmRejected {
+			p.WarmRejects++
+		}
 	}
-	if stats.Warm {
-		p.WarmHits++
+	if err != nil {
+		return linalg.NewVector(chip.NumCores())
 	}
-	if stats.WarmRejected {
-		p.WarmRejects++
-	}
-	return a, err
+	return linalg.VectorOf(a.Freqs...)
 }

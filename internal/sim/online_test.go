@@ -4,8 +4,21 @@ import (
 	"context"
 	"testing"
 
+	"protemp/internal/core"
+	"protemp/internal/power"
+	"protemp/internal/thermal"
 	"protemp/internal/workload"
 )
+
+// newOnline compiles the online policy at tmax 100 °C.
+func newOnline(t *testing.T, chip *power.Chip, window *thermal.WindowResponse) *ProTempOnline {
+	t.Helper()
+	ol, err := core.NewOnlineSolver(core.OnlineSpec{Chip: chip, Window: window, TMax: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &ProTempOnline{Solver: ol}
+}
 
 // The online-solving extension keeps the guarantee and completes work.
 func TestProTempOnlineNeverViolates(t *testing.T) {
@@ -17,7 +30,7 @@ func TestProTempOnlineNeverViolates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	online := &ProTempOnline{Chip: r.chip, Window: window, TMax: 100}
+	online := newOnline(t, r.chip, window)
 	tr, err := workload.ComputeIntensive(11, 8, 2.5).Generate()
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +79,7 @@ func TestProTempOnlineAtLeastAsFast(t *testing.T) {
 	}
 	online, err := Run(context.Background(), Config{
 		Chip: r.chip, Disc: r.disc,
-		Policy: &ProTempOnline{Chip: r.chip, Window: window, TMax: 100},
+		Policy: newOnline(t, r.chip, window),
 		Trace:  tr, TMax: 100,
 	})
 	if err != nil {

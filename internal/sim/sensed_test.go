@@ -164,7 +164,7 @@ func TestSensedDegradedFlagAndIdempotentState(t *testing.T) {
 // its solver state: after the blind window the next solve is cold.
 func TestSensedDegradedInvalidatesWarmSolver(t *testing.T) {
 	r := testRig(t)
-	p := &ProTempOnline{Chip: r.chip, Window: mustWindow(t, r), TMax: 100}
+	p := newOnline(t, r.chip, mustWindow(t, r))
 	st := WindowState{
 		Time:         0,
 		CoreTemps:    linalg.Constant(8, 60),
@@ -174,7 +174,7 @@ func TestSensedDegradedInvalidatesWarmSolver(t *testing.T) {
 	}
 	p.Decide(st)
 	p.Decide(st)
-	if p.ol == nil || !p.ol.Warm() {
+	if !p.Solver.Warm() {
 		t.Fatal("online solver not warm after two solves")
 	}
 	st.SensingDegraded = true

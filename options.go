@@ -13,10 +13,10 @@ import (
 // Option configures an Engine. Options are applied over the paper's
 // defaults (Niagara-8 floorplan, 1 GHz / 4 W cores, 30% uncore share,
 // 0.4 ms thermal step, 250-step = 100 ms DFS window, 100 °C limit,
-// per-core variable-frequency variant). Unlike the deprecated
-// SystemConfig, an option always takes effect, so legitimate zero
-// values — WithUncoreShare(0), WithTMax(0) rejected explicitly rather
-// than silently replaced — are representable.
+// per-core variable-frequency variant). An option always takes effect,
+// so legitimate zero values are representable (WithUncoreShare(0)
+// means no uncore power) and invalid ones are rejected explicitly
+// (WithTMax(0)) rather than silently replaced by a default.
 type Option func(*engineConfig) error
 
 // engineConfig is the resolved option set an Engine is built from.

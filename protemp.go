@@ -12,197 +12,4 @@
 // Sessions against it, all under context cancellation. See the
 // examples/ directory for end-to-end programs and DESIGN.md for the
 // architecture.
-//
-// The SystemConfig/System API below is the package's original
-// single-shot facade, kept as a thin deprecated shim over Engine for
-// existing callers.
 package protemp
-
-import (
-	"context"
-
-	"protemp/internal/core"
-	"protemp/internal/floorplan"
-	"protemp/internal/power"
-	"protemp/internal/sim"
-	"protemp/internal/thermal"
-	"protemp/internal/workload"
-)
-
-// SystemConfig describes a modeled platform.
-//
-// Deprecated: use New with functional options instead. SystemConfig's
-// zero-value defaulting cannot express legitimate zero values (for
-// example UncoreShare: 0 silently becomes the paper's 30%);
-// WithUncoreShare(0) can.
-type SystemConfig struct {
-	// Floorplan defaults to the Niagara-8 plan.
-	Floorplan *floorplan.Floorplan
-	// CoreModel defaults to the paper's 1 GHz / 4 W cores.
-	CoreModel power.CoreModel
-	// UncoreShare defaults to the paper's 30%.
-	UncoreShare float64
-	// ThermalParams defaults to thermal.DefaultParams().
-	ThermalParams thermal.Params
-	// Dt is the thermal step (default the paper's 0.4 ms).
-	Dt float64
-	// WindowSteps is the DFS horizon in steps (default 250 = 100 ms).
-	WindowSteps int
-	// TMax is the temperature limit (default 100 °C).
-	TMax float64
-}
-
-// options converts the legacy zero-value-defaulting config into the
-// equivalent option list.
-func (c SystemConfig) options() []Option {
-	var opts []Option
-	if c.Floorplan != nil {
-		opts = append(opts, WithFloorplan(c.Floorplan))
-	}
-	if c.CoreModel != (power.CoreModel{}) {
-		opts = append(opts, WithCoreModel(c.CoreModel))
-	}
-	if c.UncoreShare != 0 {
-		opts = append(opts, WithUncoreShare(c.UncoreShare))
-	}
-	if c.ThermalParams != (thermal.Params{}) {
-		opts = append(opts, WithThermalParams(c.ThermalParams))
-	}
-	dt, steps := c.Dt, c.WindowSteps
-	if dt != 0 || steps != 0 {
-		if dt == 0 {
-			dt = 0.4e-3
-		}
-		if steps == 0 {
-			steps = 250
-		}
-		opts = append(opts, WithWindow(dt, steps))
-	}
-	if c.TMax != 0 {
-		opts = append(opts, WithTMax(c.TMax))
-	}
-	return opts
-}
-
-// System bundles a modeled chip: floorplan, power models, thermal model
-// and the precomputed window response the optimizer consumes.
-//
-// Deprecated: use Engine, which adds context cancellation, table
-// caching and concurrent Sessions on the same chip.
-type System struct {
-	Config SystemConfig
-	Chip   *power.Chip
-	Model  *thermal.RCModel
-	Disc   *thermal.Discrete
-	Window *thermal.WindowResponse
-
-	engine *Engine
-}
-
-// NewSystem builds a System; zero-valued config fields take the paper's
-// defaults.
-//
-// Deprecated: use New with options.
-func NewSystem(cfg SystemConfig) (*System, error) {
-	engine, err := New(cfg.options()...)
-	if err != nil {
-		return nil, err
-	}
-	// Reflect the resolved defaults back, preserving the legacy
-	// contract that Config reports the effective values.
-	cfg.Floorplan = engine.cfg.fp
-	cfg.CoreModel = engine.cfg.coreModel
-	cfg.UncoreShare = engine.cfg.uncoreShare
-	cfg.ThermalParams = engine.cfg.thermalParams
-	cfg.Dt = engine.cfg.dt
-	cfg.WindowSteps = engine.cfg.windowSteps
-	cfg.TMax = engine.cfg.tmax
-	return &System{
-		Config: cfg,
-		Chip:   engine.Chip(),
-		Model:  engine.Model(),
-		Disc:   engine.Disc(),
-		Window: engine.Window(),
-		engine: engine,
-	}, nil
-}
-
-// NewNiagaraSystem builds the paper's evaluation platform with all
-// defaults.
-//
-// Deprecated: use New() — the zero-option Engine is the same platform.
-func NewNiagaraSystem() (*System, error) {
-	return NewSystem(SystemConfig{})
-}
-
-// Engine returns the Engine backing this legacy facade, for callers
-// migrating incrementally.
-func (s *System) Engine() *Engine { return s.engine }
-
-// Optimize solves one design point (Phase-1 style) at the given
-// starting temperature and required average frequency.
-//
-// Deprecated: use Engine.OptimizeVariant, which takes a context.
-func (s *System) Optimize(tstart, ftarget float64, variant core.Variant) (*core.Assignment, error) {
-	return s.engine.OptimizeVariant(context.Background(), tstart, ftarget, variant)
-}
-
-// GenerateTable runs Phase 1 over the default grids (or the provided
-// ones if non-nil). It keeps the legacy contract of returning a fresh
-// table per call (callers historically could mutate the result), so it
-// deliberately bypasses the engine's shared cache.
-//
-// Deprecated: use Engine.GenerateTable / Engine.GenerateTableGrid,
-// which take a context and share generations through the table cache.
-func (s *System) GenerateTable(tstarts, ftargets []float64, variant core.Variant) (*core.Table, error) {
-	if tstarts == nil {
-		tstarts = core.DefaultTStarts()
-	}
-	if ftargets == nil {
-		ftargets = core.DefaultFTargets(s.Chip.FMax())
-	}
-	return core.GenerateTable(context.Background(), core.TableSpec{
-		Chip:     s.Chip,
-		Window:   s.Window,
-		TMax:     s.Config.TMax,
-		TStarts:  tstarts,
-		FTargets: ftargets,
-		Variant:  variant,
-	})
-}
-
-// Controller wraps a Phase-1 table into the run-time controller.
-//
-// Deprecated: use Engine.Controller or Engine.NewSession.
-func (s *System) Controller(table *core.Table) (*core.Controller, error) {
-	return core.NewController(table)
-}
-
-// Simulate runs a closed-loop simulation of the given policy over the
-// trace, recording the named blocks.
-//
-// Deprecated: use Engine.Simulate, which takes a context and options.
-func (s *System) Simulate(policy sim.Policy, trace *workload.Trace, record ...string) (*sim.Result, error) {
-	return s.engine.Simulate(context.Background(), policy, trace, RecordBlocks(record...))
-}
-
-// ProTempPolicy builds the Pro-Temp policy from a table.
-//
-// Deprecated: use Engine.ProTempPolicy or a Session's Policy.
-func (s *System) ProTempPolicy(table *core.Table) (sim.Policy, error) {
-	return s.engine.ProTempPolicy(table)
-}
-
-// BasicDFSPolicy builds the reactive baseline at the given threshold.
-//
-// Deprecated: use Engine.BasicDFSPolicy.
-func (s *System) BasicDFSPolicy(threshold float64) (sim.Policy, error) {
-	return s.engine.BasicDFSPolicy(threshold)
-}
-
-// NoTCPolicy builds the no-temperature-control reference.
-//
-// Deprecated: use Engine.NoTCPolicy.
-func (s *System) NoTCPolicy() sim.Policy {
-	return s.engine.NoTCPolicy()
-}

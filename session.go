@@ -3,14 +3,12 @@ package protemp
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
 	"protemp/internal/core"
 	"protemp/internal/dmpc"
 	"protemp/internal/linalg"
-	"protemp/internal/obs"
 	"protemp/internal/sim"
 )
 
@@ -201,6 +199,11 @@ func (s *Session) WarmStats() (hits, rejects uint64) {
 // Cancelling ctx aborts an online solve at its next Newton iteration;
 // table lookups are effectively instant but still honor an
 // already-cancelled context.
+//
+// Online and distributed sessions run on warm solver state under
+// solveMu; a cancelled or failed solve invalidates that state (never
+// the session), so the next Step under a live context performs a
+// correct cold solve.
 func (s *Session) Step(ctx context.Context, st State) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -208,34 +211,12 @@ func (s *Session) Step(ctx context.Context, st State) ([]float64, error) {
 	if s.ctrl != nil {
 		return s.stepTable(st), nil
 	}
-	if s.dsolver != nil {
-		return s.stepDMPC(ctx, st)
-	}
-	return s.stepOnline(ctx, st)
-}
-
-// stepDMPC decides one window through the distributed solver. The
-// downgrade ladder (bisect, else idle) runs per cluster inside Solve;
-// here the session only prepares the target, honors the degraded-
-// sensing invalidation contract, and folds the consensus stats into
-// the session counters and the engine's dmpc_* instruments.
-func (s *Session) stepDMPC(ctx context.Context, st State) ([]float64, error) {
 	e := s.engine
-	fmax := e.chip.FMax()
-	required := st.RequiredFreq
-	if math.IsNaN(required) || required < 0 {
-		required = 0
-	}
-	if required > fmax {
-		required = fmax
-	}
-	if required > 0 && required < 0.1*fmax {
-		required = 0.1 * fmax
-	}
 	if st.BlockTemps != nil && len(st.BlockTemps) != e.cfg.fp.NumBlocks() {
 		return nil, fmt.Errorf("protemp: state has %d block temps for %d blocks",
 			len(st.BlockTemps), e.cfg.fp.NumBlocks())
 	}
+	required := core.WindowTarget(st.RequiredFreq, e.chip.FMax())
 
 	s.mu.Lock()
 	s.steps++
@@ -244,36 +225,38 @@ func (s *Session) stepDMPC(ctx context.Context, st State) ([]float64, error) {
 	s.solveMu.Lock()
 	defer s.solveMu.Unlock()
 
-	// A fully-degraded window solves on guessed state: run it, but drop
-	// every cluster's warm optimum and the consensus duals on both sides
-	// so the blind window neither inherits nor seeds warm state.
+	// A fully-degraded sensing window means this solve runs on guessed
+	// state: perform it (idling blind is worse — the prediction is the
+	// best available map) but never let its optimum, or the consensus
+	// duals, warm-start the next real window.
 	if st.SensingDegraded {
-		s.dsolver.Invalidate()
-		defer s.dsolver.Invalidate()
+		s.invalidate()
+		defer s.invalidate()
 	}
-
-	// Tracing: the recorder install/teardown and the trace itself exist
-	// only on the enabled branch, so a flight-less engine pays one nil
-	// check here. The solver holds the recorder only for the duration of
-	// this step (caller holds solveMu).
-	if fr := s.engine.flight; fr != nil {
-		tr := fr.StartStep("dmpc")
-		s.dsolver.SetRecorder(tr)
-		freqs, err := s.solveDMPCWindow(ctx, st, required)
-		s.dsolver.SetRecorder(nil)
-		fr.EndStep(tr, err)
-		return freqs, err
+	if s.dsolver != nil {
+		return s.stepDMPC(ctx, st, required)
 	}
-	return s.solveDMPCWindow(ctx, st, required)
+	return s.stepOnline(ctx, st, required)
 }
 
-// solveDMPCWindow runs one distributed window solve (caller holds
-// solveMu) and folds the consensus stats into the session counters and
-// the engine's dmpc_* instruments.
-func (s *Session) solveDMPCWindow(ctx context.Context, st State, required float64) ([]float64, error) {
+// stepDMPC decides one window through the distributed solver (caller
+// holds solveMu). The decision ladder runs per cluster inside Solve.
+// Tracing: the recorder install/teardown and the trace itself exist
+// only on the enabled branch, so a flight-less engine pays one nil
+// check here.
+func (s *Session) stepDMPC(ctx context.Context, st State, required float64) ([]float64, error) {
+	fr := s.engine.flight
+	tr := fr.StartStep("dmpc")
+	if tr != nil {
+		s.dsolver.SetRecorder(tr)
+	}
 	start := time.Now()
 	a, stats, err := s.dsolver.Solve(ctx, st.MaxCoreTemp, st.BlockTemps, required)
 	elapsed := time.Since(start)
+	if tr != nil {
+		s.dsolver.SetRecorder(nil)
+		fr.EndStep(tr, err)
+	}
 	s.mu.Lock()
 	s.solves += uint64(stats.ClusterSolves)
 	s.warmHits += uint64(stats.WarmHits)
@@ -306,140 +289,57 @@ func (s *Session) stepTable(st State) []float64 {
 	return d.Freqs
 }
 
-// stepOnline mirrors sim.ProTempOnline's decision rule with context
-// plumbed through: solve at the (floored) required target, and if that
-// is unsupportable from the observed map, bisect the largest
-// supportable uniform target and re-solve just inside it. Solves run
-// on the session's persistent warm state under solveMu; a cancelled or
-// failed solve invalidates that state (never the session), so the next
-// Step under a live context performs a correct cold solve.
-func (s *Session) stepOnline(ctx context.Context, st State) ([]float64, error) {
-	e := s.engine
-	fmax := e.chip.FMax()
-	required := st.RequiredFreq
-	if math.IsNaN(required) || required < 0 {
-		required = 0
-	}
-	if required > fmax {
-		required = fmax
-	}
-	if required > 0 && required < 0.1*fmax {
-		required = 0.1 * fmax
-	}
-	if st.BlockTemps != nil && len(st.BlockTemps) != e.cfg.fp.NumBlocks() {
-		return nil, fmt.Errorf("protemp: state has %d block temps for %d blocks",
-			len(st.BlockTemps), e.cfg.fp.NumBlocks())
-	}
-
-	s.mu.Lock()
-	s.steps++
-	s.mu.Unlock()
-
-	s.solveMu.Lock()
-	defer s.solveMu.Unlock()
-
-	// A fully-degraded sensing window means this solve runs on guessed
-	// state: perform it (idling blind is worse — the prediction is the
-	// best available map) but never let its optimum warm-start the next
-	// real window.
-	if st.SensingDegraded {
-		s.online.Invalidate()
-		defer s.online.Invalidate()
-	}
-
-	// Tracing mirrors stepDMPC: recorder install/teardown only on the
-	// enabled branch, so the disabled hot path pays one nil check and
-	// allocates nothing.
-	if fr := s.engine.flight; fr != nil {
-		tr := fr.StartStep("online")
+// stepOnline decides one centralized window through the online
+// solver's decision ladder (caller holds solveMu) and folds each
+// solve's latency and warm-start outcome into the session counters and
+// the engine's step_* instruments. With tracing on, a bisected window
+// is marked a "bisect-downgrade" fallback.
+func (s *Session) stepOnline(ctx context.Context, st State, required float64) ([]float64, error) {
+	fr := s.engine.flight
+	tr := fr.StartStep("online")
+	if tr != nil {
 		s.online.SetRecorder(tr)
-		freqs, err := s.solveOnlineWindow(ctx, st, required, tr)
+	}
+	a, ds, err := s.online.Decide(ctx, st.MaxCoreTemp, st.BlockTemps, required)
+	if tr != nil {
+		if ds.Bisected {
+			tr.Fallback("bisect-downgrade")
+		}
 		s.online.SetRecorder(nil)
 		fr.EndStep(tr, err)
-		return freqs, err
-	}
-	return s.solveOnlineWindow(ctx, st, required, nil)
-}
-
-// solveOnlineWindow runs one centralized window decision (caller holds
-// solveMu): solve at the required target, and if that is unsupportable
-// walk the bisect-downgrade ladder. A non-nil tr additionally records
-// the bisection as a span and marks the step a fallback.
-func (s *Session) solveOnlineWindow(ctx context.Context, st State, required float64, tr *obs.Trace) ([]float64, error) {
-	e := s.engine
-	n := e.chip.NumCores()
-	a, err := s.solveOnline(ctx, st.MaxCoreTemp, st.BlockTemps, required)
-	if err != nil {
-		return nil, err
-	}
-	if a.Feasible {
-		return a.Freqs, nil
-	}
-
-	// Unsupportable target: fall back to the largest supportable
-	// uniform frequency (the run-time analogue of the paper's "next
-	// lower frequency point" rule), idling the window if even that
-	// fails. The bisection honors ctx too: a session cancelled at any
-	// point inside Step returns promptly and remains safe to Step
-	// again under a live context — no counter is left inconsistent and
-	// the warm state is invalidated, never corrupted.
-	spec := e.spec(st.MaxCoreTemp, required, e.cfg.variant)
-	spec.T0 = st.BlockTemps
-	if tr != nil {
-		tr.Fallback("bisect-downgrade")
-		tr.SolveStart(required)
-		tr.Rung("bisect")
-	}
-	maxF, _, err := core.SolveUniformBisectContext(ctx, spec)
-	if tr != nil {
-		tr.SolveEnd(maxF > 0, err)
-	}
-	if err != nil {
-		return nil, err
-	}
-	idle := make([]float64, n)
-	if maxF <= 0 {
-		s.noteIdle()
-		return idle, nil
 	}
 	s.mu.Lock()
-	s.downgrades++
+	for _, sst := range ds.Solves[:ds.NSolves] {
+		s.solves++
+		if sst.Warm {
+			s.warmHits++
+		}
+		if sst.WarmRejected {
+			s.warmRejects++
+		}
+	}
+	if ds.Downgraded {
+		s.downgrades++
+	}
+	if ds.Idle {
+		s.idles++
+	}
 	s.mu.Unlock()
-	a, err = s.solveOnline(ctx, st.MaxCoreTemp, st.BlockTemps, math.Min(required, 0.98*maxF))
+	s.engine.observeStepDecide(ds, err)
 	if err != nil {
 		return nil, err
-	}
-	if !a.Feasible {
-		s.noteIdle()
-		return idle, nil
 	}
 	return a.Freqs, nil
 }
 
-// solveOnline runs one warm-capable solve (caller holds solveMu),
-// folding its latency and warm-start outcome into the session counters
-// and the engine's step_* instruments.
-func (s *Session) solveOnline(ctx context.Context, tstart float64, t0 []float64, ftarget float64) (*core.Assignment, error) {
-	start := time.Now()
-	a, stats, err := s.online.Solve(ctx, tstart, t0, ftarget)
-	elapsed := time.Since(start)
-	s.mu.Lock()
-	s.solves++
-	if stats.Warm {
-		s.warmHits++
+// invalidate drops the online or distributed warm state (caller holds
+// solveMu).
+func (s *Session) invalidate() {
+	if s.online != nil {
+		s.online.Invalidate()
+	} else {
+		s.dsolver.Invalidate()
 	}
-	if stats.WarmRejected {
-		s.warmRejects++
-	}
-	s.mu.Unlock()
-	s.engine.observeStepSolve(elapsed, stats, err)
-	return a, err
-}
-
-func (s *Session) noteIdle() {
-	s.mu.Lock()
-	s.idles++
-	s.mu.Unlock()
 }
 
 // InvalidateWarm drops an online session's warm solver state so the
@@ -449,16 +349,12 @@ func (s *Session) noteIdle() {
 // rather than through the per-window flag. A table session has no warm
 // state; the call is a no-op.
 func (s *Session) InvalidateWarm() {
-	switch {
-	case s.online != nil:
-		s.solveMu.Lock()
-		s.online.Invalidate()
-		s.solveMu.Unlock()
-	case s.dsolver != nil:
-		s.solveMu.Lock()
-		s.dsolver.Invalidate()
-		s.solveMu.Unlock()
+	if s.ctrl != nil {
+		return
 	}
+	s.solveMu.Lock()
+	s.invalidate()
+	s.solveMu.Unlock()
 }
 
 // Policy adapts the session into a sim.Policy so it can drive
