@@ -24,7 +24,6 @@ import (
 	"protemp/internal/linalg"
 	"protemp/internal/sense"
 	"protemp/internal/sim"
-	"protemp/internal/solver"
 	"protemp/internal/thermal"
 )
 
@@ -632,26 +631,38 @@ func BenchmarkUniformBisect(b *testing.B) {
 	}
 }
 
-// BenchmarkPhaseI times strict-feasibility recovery from an infeasible
-// start.
+// BenchmarkPhaseI times the infeasibility verdict of the feasibility
+// phase: one cold online solve of a window no assignment supports (a
+// uniform 95 °C start at 95% of fmax) on the 8-core Niagara and on a
+// 64-core ManyCore(8, 8) mesh. Each iteration compiles a fresh solver
+// outside the timer, so none inherits a warm seed.
 func BenchmarkPhaseI(b *testing.B) {
-	prob := &solver.Problem{Objective: &solver.Affine{A: linalg.Constant(8, 1)}}
-	for j := 0; j < 8; j++ {
-		lo := linalg.NewVector(8)
-		lo[j] = -1
-		hi := linalg.NewVector(8)
-		hi[j] = 1
-		prob.Constraints = append(prob.Constraints,
-			&solver.Affine{A: lo, B: 1},
-			&solver.Affine{A: hi, B: -3},
-		)
-	}
-	start := linalg.Constant(8, -25)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := solver.PhaseI(prob, start, solver.Options{}); err != nil {
-			b.Fatal(err)
-		}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name       string
+		rows, cols int // 0 = Niagara-8
+	}{{"cores8", 0, 0}, {"cores64", 8, 8}} {
+		b.Run(tc.name, func(b *testing.B) {
+			e := dmpcBenchEngine(b, tc.rows, tc.cols, 0, 0)
+			spec := core.OnlineSpec{Chip: e.Chip(), Window: e.Window(), TMax: e.TMax()}
+			target := 0.95 * e.Chip().FMax()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				o, err := core.NewOnlineSolver(spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				a, _, err := o.Solve(ctx, 95, nil, target)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if a.Feasible {
+					b.Fatal("benchmark window is feasible; it must exercise the infeasibility verdict")
+				}
+			}
+		})
 	}
 }
 

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"protemp/internal/linalg"
-	"protemp/internal/solver"
-)
+import "protemp/internal/linalg"
 
 // layout records the variable layout of a built problem.
 //
@@ -28,6 +25,16 @@ func newLayout(v Variant, nCores int) layout {
 	default:
 		return layout{variant: v, nCores: nCores, dim: 2 * nCores}
 	}
+}
+
+// freqVars returns the number of frequency variables: one shared
+// frequency for VariantUniform, one per core otherwise. They occupy
+// x[:freqVars()].
+func (l layout) freqVars() int {
+	if l.variant == VariantUniform {
+		return 1
+	}
+	return l.nCores
 }
 
 func (l layout) fIdx(j int) int {
@@ -82,13 +89,12 @@ func (s *Spec) tempRows() ([]tempRow, error) {
 	return rows, nil
 }
 
-// build assembles the solver.Problem for the spec by compiling a
-// single-point sweep plan and instantiating it at (TStart, FTarget) —
-// the same assembly GenerateTable's warm-started sweep uses, so the
-// cold per-point path and the sweep cannot drift apart. See
-// compileSweep for the constraint layout (the paper's Eqs. 2-5).
-func (s *Spec) build() (*solver.Problem, layout, []tempRow, error) {
-	lay := newLayout(s.Variant, s.Chip.NumCores())
+// build instantiates the spec's problem by compiling a single-point
+// sweep plan and setting it at (TStart, FTarget) — the same assembly
+// GenerateTable's warm-started sweep uses, so the cold per-point path
+// and the sweep cannot drift apart. See compileSweep for the constraint
+// layout (the paper's Eqs. 2-5).
+func (s *Spec) build() (*sweepInstance, error) {
 	ts := TableSpec{
 		Chip: s.Chip, Window: s.Window, TMax: s.TMax,
 		TStarts: []float64{s.TStart}, FTargets: []float64{s.FTarget},
@@ -101,9 +107,9 @@ func (s *Spec) build() (*solver.Problem, layout, []tempRow, error) {
 	}
 	pl, err := compileSweep(ts, t0)
 	if err != nil {
-		return nil, lay, nil, err
+		return nil, err
 	}
 	in := pl.instance()
 	in.set(s.TStart, s.FTarget)
-	return in.prob, pl.lay, in.rows, nil
+	return in, nil
 }

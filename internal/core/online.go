@@ -40,11 +40,13 @@ type OnlineStepStats struct {
 	// seed could not be made strictly feasible (or stalled) and the solve
 	// fell back to the cold start ladder.
 	WarmRejected bool
-	// NewtonIters is the solve's Newton-iteration cost.
+	// NewtonIters is the solve's Newton-iteration cost, summed over a
+	// rejected warm attempt, the feasibility phase and the final solve;
+	// an infeasible verdict reports the work it took.
 	NewtonIters int
 	// AssembleNanos and FactorNanos split the solve's wall time into
-	// Hessian assembly vs KKT factorization+solve; zero for degenerate
-	// (full-speed) steps that never enter the barrier.
+	// Hessian assembly vs KKT factorization+solve; zero for steps that
+	// never enter the barrier (full speed, idle-infeasible windows).
 	AssembleNanos int64
 	FactorNanos   int64
 	// SolveNanos is the Solve call's wall time, errors included.
@@ -59,7 +61,7 @@ type OnlineStepStats struct {
 // uses), owns one solver workspace, and keeps the previous window's
 // optimum so consecutive Solve calls rewrite only the state-dependent
 // constraint offsets and warm-start the barrier from the last solution,
-// with the cold heuristic/rebalance/Phase-I ladder as fallback.
+// with the cold heuristic → feasibility-phase ladder as fallback.
 //
 // An OnlineSolver is NOT safe for concurrent use: it mutates its
 // compiled problem instance, workspace and warm state in place. Callers
@@ -196,7 +198,7 @@ func (o *OnlineSolver) solve(ctx context.Context, tstart float64, t0 []float64, 
 	if o.rec != nil {
 		o.rec.SolveStart(ftarget)
 	}
-	a, x, warm, err := solveLadder(ctx, spec, o.inst.prob, o.plan.lay, o.inst.rows, seed, gap, o.ws, o.rec)
+	a, x, warm, err := solveLadder(ctx, spec, o.inst, seed, gap, o.ws, o.rec)
 	if o.rec != nil {
 		feasible := err == nil && a != nil && a.Feasible
 		o.rec.SolveEnd(feasible, err)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 
@@ -16,6 +15,25 @@ import (
 // constraint pins every frequency to fmax and the program degenerates
 // to a feasibility check of the full-speed point.
 const fullSpeedPhi = 1 - 1e-9
+
+// Barrier tuning of the solve ladder.
+const (
+	// gentleMu is the barrier multiplier of the feasibility phase and of
+	// every gradient-variant solve. The gradient variant's pairwise rows
+	// make the barrier stiff: at the default μ=20 each weight jump slams
+	// the iterate against the coupling boundary and Newton creeps for
+	// hundreds of iterations per stage (exhausting MaxNewton, so the
+	// final stage is uncentered and every warm seed is rejected); the
+	// feasibility phase's near-boundary windows exhaust MaxNewton in a
+	// late stage and then fail their line search. A gentler schedule
+	// keeps each stage inside Newton's fast region.
+	gentleMu = 10
+	// phase1TGradWeight prices tgrad in the feasibility phase's
+	// objective. Nothing bounds tgrad from above, so maximizing Σf alone
+	// would leave every centering unbounded; the tiny weight bounds it
+	// and loosens the infeasibility certificate by phase1TGradWeight·TMax.
+	phase1TGradWeight = 1e-9
+)
 
 // Solve computes the optimal frequency assignment for the design point,
 // or Assignment{Feasible: false} when the paper's "infeasible solution"
@@ -44,50 +62,46 @@ func SolveContext(ctx context.Context, s *Spec) (*Assignment, error) {
 		return fullSpeedAssignment(s, rows)
 	}
 
-	prob, lay, rows, err := s.build()
+	in, err := s.build()
 	if err != nil {
 		return nil, err
 	}
-	a, _, _, err := solveLadder(ctx, s, prob, lay, rows, nil, 0, nil, nil)
+	a, _, _, err := solveLadder(ctx, s, in, nil, 0, nil, nil)
 	return a, err
 }
 
-// solveLadder solves a prebuilt problem through the start ladder: the
-// warm seed (a re-centered neighboring optimum) when one is supplied,
-// then the cheap feasibility heuristics, then the physics-guided
-// rebalance, then the generic Phase-I auxiliary program. It is the
-// single solve path shared by SolveContext (cold, no workspace) and the
-// table sweep (warm-seeded, per-worker workspace), so both produce
-// interchangeable assignments. It returns the assignment, the raw
-// normalized optimum for seeding the next grid point (nil when
-// infeasible), and whether the warm seed carried the solve. A non-nil
-// rec observes the warm decision, the rung taken and every barrier
-// centering; the nil path costs only pointer checks.
-func solveLadder(ctx context.Context, s *Spec, prob *solver.Problem, lay layout, rows []tempRow, warmSeed linalg.Vector, warmGap float64, ws *solver.Workspace, rec obs.Recorder) (*Assignment, linalg.Vector, bool, error) {
+// solveLadder solves an instantiated problem through the start ladder:
+// the warm seed (a re-centered neighboring optimum) when one is
+// supplied, then the cheap uniform heuristic, then the feasibility
+// phase. It is the single solve path shared by SolveContext (cold, no
+// workspace), the table sweep (warm-seeded, per-worker workspace) and
+// the online solver, so all produce interchangeable assignments. It
+// returns the assignment — infeasible ones included, carrying the
+// solver work their verdict cost — the raw normalized optimum for
+// seeding the next grid point (nil when infeasible), and whether the
+// warm seed carried the solve. A non-nil rec observes the warm
+// decision, the rung taken and every barrier centering; the nil path
+// costs only pointer checks.
+func solveLadder(ctx context.Context, s *Spec, in *sweepInstance, warmSeed linalg.Vector, warmGap float64, ws *solver.Workspace, rec obs.Recorder) (*Assignment, linalg.Vector, bool, error) {
+	lay := in.plan.lay
 	n := s.Chip.NumCores()
 	phi := s.FTarget / s.Chip.FMax()
 	opts := solver.DefaultOptions()
 	opts.Tol = 1e-7
 	opts.Interrupt = ctx.Err
 	if s.Variant == VariantGradient {
-		// The gradient variant's pairwise rows make the barrier stiff:
-		// at the default μ=20 each weight jump slams the iterate against
-		// the coupling boundary and Newton creeps for hundreds of
-		// iterations per stage (exhausting MaxNewton, so the final stage
-		// is uncentered and every warm seed is rejected). A gentler
-		// schedule keeps each stage inside Newton's fast region: ~10×
-		// fewer total iterations and a certifiably centered result.
-		opts.Mu = 10
+		opts.Mu = gentleMu
 	}
 	if rec != nil {
 		opts.Centering = rec.Centering
 	}
 
+	a := &Assignment{} // accumulates every attempt's solver work
 	var res *solver.Result
 	var err error
 	warm := false
 	if warmSeed != nil {
-		res, err = solver.WarmStart(prob, warmSeed, nil, warmGap, opts, ws)
+		res, err = solver.WarmStart(in.prob, warmSeed, nil, warmGap, opts, ws)
 		switch {
 		case err == nil && res.Centered:
 			warm = true
@@ -103,7 +117,10 @@ func solveLadder(ctx context.Context, s *Spec, prob *solver.Problem, lay layout,
 			// budget (Result.Centered false — the duality-gap bound is
 			// then not a certificate) is not a verdict on the problem;
 			// fall back cold so warm results stay interchangeable with
-			// cold ones.
+			// cold ones. A failed attempt's work is still spent.
+			if res != nil {
+				a.addCost(res)
+			}
 			if rec != nil {
 				reason := "uncentered"
 				if err != nil {
@@ -115,42 +132,32 @@ func solveLadder(ctx context.Context, s *Spec, prob *solver.Problem, lay layout,
 		}
 	}
 	if res == nil {
-		start := heuristicStart(s, lay, rows, phi)
+		start := heuristicStart(s, lay, in.rows, phi)
 		rung := "heuristic"
 		if start == nil {
-			// Near the capacity boundary only a non-uniform assignment is
-			// feasible; a physics-guided rebalance finds one directly where
-			// the generic Phase-I auxiliary problem converges too slowly.
-			start = rebalanceStart(s, lay, rows, phi)
-			rung = "rebalance"
+			rung = "phase1"
+			start, err = in.feasibilityPhase(ctx, s, opts, ws, a)
 		}
 		if start != nil {
-			res, err = solver.BarrierWS(prob, start, opts, ws)
-		} else {
-			rung = "phase1"
-			res, err = solver.SolveWS(prob, neutralStart(lay, phi), opts, ws)
+			res, err = solver.BarrierWS(in.prob, start, opts, ws)
 		}
 		if rec != nil {
 			rec.Rung(rung)
 		}
 	}
 	if err != nil {
-		if errors.Is(err, solver.ErrInfeasible) {
-			return &Assignment{}, nil, warm, nil
-		}
 		return nil, nil, warm, fmt.Errorf("core: solve (%s, tstart=%g, ftarget=%g): %w",
 			s.Variant, s.TStart, s.FTarget, err)
 	}
-
-	a := &Assignment{
-		Feasible:      true,
-		Freqs:         make([]float64, n),
-		Powers:        make([]float64, n),
-		Gap:           res.Gap,
-		NewtonIters:   res.NewtonIters,
-		AssembleNanos: res.AssembleNanos,
-		FactorNanos:   res.FactorNanos,
+	if res == nil {
+		return a, nil, warm, nil // the feasibility phase's verdict
 	}
+
+	a.addCost(res)
+	a.Feasible = true
+	a.Freqs = make([]float64, n)
+	a.Powers = make([]float64, n)
+	a.Gap = res.Gap
 	for j := 0; j < n; j++ {
 		model := s.Chip.CoreModelOf(j)
 		fn := clamp01(res.X[lay.fIdx(j)])
@@ -165,6 +172,69 @@ func solveLadder(ctx context.Context, s *Spec, prob *solver.Problem, lay layout,
 	}
 	a.PeakTemp = peakTemp(s, a.Powers)
 	return a, res.X, warm, nil
+}
+
+// addCost adds one barrier solve's work to the assignment's counters.
+func (a *Assignment) addCost(r *solver.Result) {
+	a.NewtonIters += r.NewtonIters
+	a.AssembleNanos += r.AssembleNanos
+	a.FactorNanos += r.FactorNanos
+}
+
+// feasibilityPhase is the cold ladder's last rung and the source of the
+// paper's run-time verdict: "If the required frequency point cannot be
+// supported, the optimization notifies an infeasible solution." It runs
+// one auxiliary barrier solve over the instance's own compiled
+// constraints and HessianPattern — maximize Σf with the workload row's
+// offset relaxed to 0 — and stops as soon as
+//
+//   - an iterate clears the workload bound nφ (Σf > nφ + 1e-6 per
+//     frequency variable): the point is a strictly feasible start for
+//     the real problem and is returned; or
+//   - a converged centering proves that no point reaches it: its Σf plus
+//     the duality bound m/t (plus the tgrad weight's share) stays below
+//     nφ. The verdict is a nil start.
+//
+// A window whose rows exceed TMax even at idle is rejected without
+// entering the barrier. The auxiliary solve's work is added to cost,
+// and the instance's offset and objective are restored before return.
+func (in *sweepInstance) feasibilityPhase(ctx context.Context, s *Spec, opts solver.Options, ws *solver.Workspace, cost *Assignment) (linalg.Vector, error) {
+	phiU, err := maxUniformPhi(ctx, s.Chip, s.TMax, in.rows)
+	if err != nil || phiU <= 0 {
+		return nil, err
+	}
+	lay := in.plan.lay
+	start := heuristicStart(s, lay, in.rows, 0.9*phiU)
+	if start == nil {
+		// Even 0.9·φu cannot absorb the heuristic's power slack: the
+		// window sits at the idle boundary, where no useful target fits.
+		return nil, nil
+	}
+
+	vars := lay.freqVars()
+	need := in.work.B // nφ: the workload bound the phase must clear
+	certSlack := 0.0
+	if lay.variant == VariantGradient {
+		certSlack = phase1TGradWeight * s.TMax
+	}
+	sumF := func(x linalg.Vector) float64 { return x[:vars].Sum() }
+	found := func(x linalg.Vector) bool { return sumF(x) > need+1e-6*float64(vars) }
+	opts.Mu = gentleMu
+	opts.StopEarly = func(x linalg.Vector, gap float64) bool {
+		return found(x) || sumF(x)+gap+certSlack < need
+	}
+
+	in.work.B, in.prob.Objective = 0, in.plan.phase1Objective
+	res, err := solver.BarrierWS(in.prob, start, opts, ws)
+	in.work.B, in.prob.Objective = need, in.plan.objective
+	if err != nil {
+		return nil, err
+	}
+	cost.addCost(res)
+	if found(res.X) && in.prob.IsStrictlyFeasible(res.X) {
+		return res.X, nil
+	}
+	return nil, nil
 }
 
 // SolveUniformBisect solves the uniform-frequency problem by direct
@@ -253,7 +323,7 @@ func fullSpeedAssignment(s *Spec, rows []tempRow) (*Assignment, error) {
 
 // heuristicStart tries cheap strictly feasible points (uniform
 // frequency just above the target with a little power slack) before
-// paying for a Phase-I solve. Returns nil if none works.
+// paying for the feasibility phase. Returns nil if none works.
 func heuristicStart(s *Spec, lay layout, rows []tempRow, phi float64) linalg.Vector {
 	n := s.Chip.NumCores()
 	fn := phi + 1e-4*(1-phi) + 1e-9
@@ -296,86 +366,6 @@ func heuristicStart(s *Spec, lay layout, rows []tempRow, phi float64) linalg.Vec
 	return nil
 }
 
-// rebalanceStart searches for a strictly feasible non-uniform start by
-// greedy heat rebalancing: begin at the uniform target frequency and
-// repeatedly move a small frequency quantum from the core with the
-// hottest predicted trajectory to the coolest core with headroom. The
-// frequency sum is preserved, so the workload constraint stays
-// satisfied; the procedure succeeds exactly in the boundary band where
-// periphery cores hold thermal slack the uniform assignment cannot use
-// (the physics behind the paper's Fig. 9/10). Returns nil on failure.
-func rebalanceStart(s *Spec, lay layout, rows []tempRow, phi float64) linalg.Vector {
-	if lay.variant == VariantUniform {
-		return nil // a single shared frequency cannot rebalance
-	}
-	n := s.Chip.NumCores()
-	fn := phi + 1e-6
-	if fn >= 1 {
-		return nil
-	}
-	freqs := linalg.Constant(n, fn)
-	pn := linalg.NewVector(n)
-	const (
-		slack   = 1e-4
-		quantum = 2e-3
-		maxIter = 1200
-	)
-	blockToCore := make(map[int]int, n)
-	for j := 0; j < n; j++ {
-		blockToCore[s.Chip.CoreBlockIndex(j)] = j
-	}
-	for iter := 0; iter < maxIter; iter++ {
-		ok := true
-		for j := 0; j < n; j++ {
-			model := s.Chip.CoreModelOf(j)
-			pn[j] = model.AtFrequency(freqs[j]*model.FMax)/model.PMax + slack
-			if pn[j] >= 1 || freqs[j] <= 0 || freqs[j] >= 1 {
-				ok = false
-			}
-		}
-		if !ok {
-			return nil
-		}
-		// Per-core worst margin (temperature minus limit) over all rows
-		// of that core's own block, plus the global worst row.
-		margin := linalg.Constant(n, math.Inf(-1))
-		worst := math.Inf(-1)
-		for _, r := range rows {
-			v := r.c0 + r.coef.Dot(pn) - s.TMax
-			if v > worst {
-				worst = v
-			}
-			if j, isCore := blockToCore[r.block]; isCore && v > margin[j] {
-				margin[j] = v
-			}
-		}
-		if worst < -1e-6 {
-			x := linalg.NewVector(lay.dim)
-			for j := 0; j < n; j++ {
-				x[lay.fIdx(j)] = freqs[j]
-				x[lay.pIdx(j)] = pn[j]
-			}
-			if s.Variant == VariantGradient {
-				x[lay.gIdx()] = maxPairGap(s, rows, pn) + 1
-			}
-			return x
-		}
-		hot, cool := margin.ArgMax(), 0
-		coolMargin := math.Inf(1)
-		for j := 0; j < n; j++ {
-			if j != hot && freqs[j] < 1-2*quantum && margin[j] < coolMargin {
-				cool, coolMargin = j, margin[j]
-			}
-		}
-		if math.IsInf(coolMargin, 1) || hot == cool || freqs[hot] <= 2*quantum {
-			return nil
-		}
-		freqs[hot] -= quantum
-		freqs[cool] += quantum
-	}
-	return nil
-}
-
 // maxPairGap returns the largest pairwise core temperature difference
 // over the window at normalized powers pn.
 func maxPairGap(s *Spec, rows []tempRow, pn linalg.Vector) float64 {
@@ -397,26 +387,6 @@ func maxPairGap(s *Spec, rows []tempRow, pn linalg.Vector) float64 {
 		}
 	}
 	return gap
-}
-
-// neutralStart is the Phase-I entry point when no heuristic start is
-// strictly feasible.
-func neutralStart(lay layout, phi float64) linalg.Vector {
-	x := linalg.NewVector(lay.dim)
-	fn := math.Min(0.9, phi+0.05)
-	n := lay.nCores
-	vars := n
-	if lay.variant == VariantUniform {
-		vars = 1
-	}
-	for j := 0; j < vars; j++ {
-		x[lay.fIdx(j)] = fn
-		x[lay.pIdx(j)] = math.Min(0.95, fn*fn+0.05)
-	}
-	if lay.variant == VariantGradient {
-		x[lay.gIdx()] = 50
-	}
-	return x
 }
 
 // peakTemp forward-simulates the window at the given core powers and

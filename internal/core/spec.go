@@ -168,8 +168,9 @@ func (s *Spec) gradStride() int {
 // Assignment is the solved frequency assignment for one design point.
 type Assignment struct {
 	// Feasible reports whether the design point admits any assignment.
-	// When false all other fields are zero — the paper's "optimization
-	// notifies an infeasible solution".
+	// When false every assignment field is zero — the paper's
+	// "optimization notifies an infeasible solution" — and only the
+	// solver-cost fields report the work the verdict took.
 	Feasible bool
 	// Freqs holds the per-core frequencies in Hz (length NumCores).
 	Freqs []float64
@@ -190,8 +191,8 @@ type Assignment struct {
 	// NewtonIters counts solver work, for the §5.1 cost accounting.
 	NewtonIters int
 	// AssembleNanos and FactorNanos split the solver's wall time into
-	// Hessian assembly vs KKT factorization+solve (zero for degenerate
-	// paths that never enter the barrier, e.g. full speed).
+	// Hessian assembly vs KKT factorization+solve (zero for paths that
+	// never enter the barrier: full speed, idle-infeasible windows).
 	AssembleNanos int64
 	FactorNanos   int64
 }

@@ -9,8 +9,8 @@ import (
 // TestSweepPlanCompilesPattern pins the structured-KKT wiring: every
 // variant's compiled plan must carry a non-nil arrow-structure hint.
 // If the Hessian-pattern compiler ever starts rejecting the problem
-// shape core emits, the solver silently falls back to the dense O(n³)
-// path — this test turns that silent regression into a failure.
+// shape core emits, compileSweep fails — this test names the variant
+// and checks the pattern still matches its own instance.
 func TestSweepPlanCompilesPattern(t *testing.T) {
 	f := niagaraFixture(t)
 	for _, v := range []Variant{VariantVariable, VariantUniform, VariantGradient} {

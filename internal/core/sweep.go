@@ -30,6 +30,9 @@ type sweepPlan struct {
 	rows []planRow
 
 	objective solver.Func
+	// phase1Objective is the feasibility phase's auxiliary objective,
+	// −Σf (plus a tiny tgrad price), over the same variables.
+	phase1Objective solver.Func
 	// tempA/tempNZ are the shared coefficient vectors of the temperature
 	// constraints, index-aligned with rows.
 	tempA  []linalg.Vector
@@ -46,10 +49,9 @@ type sweepPlan struct {
 	// coefficient vectors are constant, offsets are row c0 differences.
 	gradPairs []gradPair
 
-	// pattern is the compiled arrow-structure hint of the problem's
-	// barrier Hessian, shared read-only by every instance (the solver
-	// re-verifies it per solve). nil means the structure did not
-	// compile and solves stay on the dense path.
+	// pattern is the compiled arrow structure of the problem's barrier
+	// Hessian, shared read-only by every instance (the solver
+	// re-verifies it per solve).
 	pattern *solver.HessianPattern
 }
 
@@ -197,11 +199,8 @@ func compileSweep(ts TableSpec, t0 linalg.Vector) (*sweepPlan, error) {
 	}
 
 	// Power-frequency couplings (constant, shared).
-	couplings := n
-	if ts.Variant == VariantUniform {
-		couplings = 1
-	}
-	for j := 0; j < couplings; j++ {
+	vars := lay.freqVars()
+	for j := 0; j < vars; j++ {
 		model := chip.CoreModelOf(j)
 		d := linalg.NewVector(lay.dim)
 		d[lay.fIdx(j)] = 1 - model.IdleFrac
@@ -216,24 +215,23 @@ func compileSweep(ts TableSpec, t0 linalg.Vector) (*sweepPlan, error) {
 
 	// Workload constraint coefficients (offset varies with FTarget).
 	pl.workA = linalg.NewVector(lay.dim)
-	if ts.Variant == VariantUniform {
-		pl.workA[lay.fIdx(0)] = -1
-		pl.workScale = 1
-	} else {
-		for j := 0; j < n; j++ {
-			pl.workA[lay.fIdx(j)] = -1
-		}
-		pl.workScale = float64(n)
+	for j := 0; j < vars; j++ {
+		pl.workA[lay.fIdx(j)] = -1
 	}
+	pl.workScale = float64(vars)
 	pl.workNZ = nonzeroIndices(pl.workA)
 
-	// Box constraints (constant, shared). The shared slice keeps the
-	// same ordering build() emits: couplings, workload, box — the
-	// workload slot is spliced in by the instance.
-	vars := 1
-	if ts.Variant != VariantUniform {
-		vars = n
+	// The feasibility phase maximizes Σf: the workload row's
+	// coefficients, plus the tgrad price that keeps it bounded.
+	phase1A := pl.workA.Clone()
+	if ts.Variant == VariantGradient {
+		phase1A[lay.gIdx()] = phase1TGradWeight
 	}
+	pl.phase1Objective = &solver.Affine{A: phase1A}
+
+	// Box constraints (constant, shared). The shared slice keeps the
+	// ordering couplings, workload, box — the workload slot is spliced
+	// in by the instance.
 	for j := 0; j < vars; j++ {
 		lo := linalg.NewVector(lay.dim)
 		lo[lay.fIdx(j)] = -1
@@ -287,19 +285,16 @@ func compileSweep(ts TableSpec, t0 linalg.Vector) (*sweepPlan, error) {
 		}
 	}
 
-	// Compile the arrow-structure hint against a probe instance: every
+	// Compile the arrow structure against a probe instance: every
 	// sibling instance shares the same coefficient vectors, so the one
-	// pattern serves the sweep, the online MPC path and every DMPC
-	// cluster. The f block is the frequency variables — lay.fIdx is the
-	// identity over [0, nf). A structure that fails to compile is not an
-	// error; those solves simply stay dense.
-	nf := n
-	if ts.Variant == VariantUniform {
-		nf = 1
+	// pattern serves the sweep, the online MPC path, every DMPC cluster
+	// and the feasibility phase. The f block is the frequency variables
+	// — lay.fIdx is the identity over [0, vars).
+	pat, err := solver.CompileHessianPattern(pl.instance().prob, vars)
+	if err != nil {
+		return nil, fmt.Errorf("core: compile Hessian pattern: %w", err)
 	}
-	if pat, err := solver.CompileHessianPattern(pl.instance().prob, nf); err == nil {
-		pl.pattern = pat
-	}
+	pl.pattern = pat
 	return pl, nil
 }
 
@@ -333,11 +328,8 @@ func (pl *sweepPlan) instance() *sweepInstance {
 		in.prob.Constraints = append(in.prob.Constraints, in.temp[i])
 	}
 	// Splice the workload constraint between the couplings and the box
-	// constraints, matching Spec.build()'s ordering exactly.
-	couplings := pl.ts.Chip.NumCores()
-	if pl.ts.Variant == VariantUniform {
-		couplings = 1
-	}
+	// constraints.
+	couplings := pl.lay.freqVars()
 	for _, c := range pl.static[:couplings] {
 		in.prob.Constraints = append(in.prob.Constraints, c)
 	}
@@ -449,10 +441,7 @@ func (in *sweepInstance) warmSeed(s *Spec, prevX linalg.Vector) (linalg.Vector, 
 	}
 	n := s.Chip.NumCores()
 	phi := s.FTarget / s.Chip.FMax()
-	vars := n
-	if lay.variant == VariantUniform {
-		vars = 1
-	}
+	vars := lay.freqVars()
 
 	fn := linalg.NewVector(vars)
 	var sum, headroom float64

@@ -82,11 +82,27 @@ func TestSweepMatchesColdPath(t *testing.T) {
 	}
 }
 
+// pinnedMasks are the feasibility masks of the 7×8 grid below (rows
+// TStart 47…100 °C, columns FTarget 125…1000 MHz, TMax 100) as the
+// slack-variable Phase-I decided them before the feasibility phase
+// replaced it; '#' marks a feasible entry.
+var (
+	pinnedTStarts  = []float64{47, 57, 67, 77, 87, 97, 100}
+	pinnedFTargets = []float64{125e6, 250e6, 375e6, 500e6, 625e6, 750e6, 875e6, 1000e6}
+	pinnedMasks    = map[Variant][]string{
+		VariantVariable: {"######..", "######..", "######..", "#####...", "#####...", "#####...", "####...."},
+		VariantUniform:  {"######..", "######..", "#####...", "#####...", "#####...", "####....", "####...."},
+		VariantGradient: {"######..", "######..", "######..", "#####...", "#####...", "#####...", "####...."},
+	}
+)
+
 // TestSweepMonotoneFeasibility is the property Phase-2 lookup relies
 // on, asserted on warm-started tables: along each TStart row the
 // feasible entries form a prefix (no holes as FTarget rises), and at
 // each FTarget column feasibility never improves as the starting
-// temperature rises.
+// temperature rises. On the pinned grid every verdict must also match
+// its recorded mask, so a single point the infeasibility certificate
+// calls differently fails.
 func TestSweepMonotoneFeasibility(t *testing.T) {
 	for _, v := range []Variant{VariantVariable, VariantUniform, VariantGradient} {
 		ts := sweepSpec(t, v)
@@ -94,18 +110,42 @@ func TestSweepMonotoneFeasibility(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for ti := range tbl.Entries {
-			for fi := 1; fi < len(tbl.FTargets); fi++ {
-				if tbl.Entries[ti][fi].Feasible && !tbl.Entries[ti][fi-1].Feasible {
-					t.Errorf("%s: row %d has a feasibility hole at column %d", v, ti, fi)
+		checkMonotone(t, v, tbl)
+
+		ts.TStarts, ts.FTargets = pinnedTStarts, pinnedFTargets
+		pinned, err := GenerateTable(context.Background(), ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkMonotone(t, v, pinned)
+		for ti, want := range pinnedMasks[v] {
+			got := make([]byte, len(pinned.FTargets))
+			for fi, e := range pinned.Entries[ti] {
+				got[fi] = '.'
+				if e.Feasible {
+					got[fi] = '#'
 				}
 			}
+			if string(got) != want {
+				t.Errorf("%s: %g °C row mask %s, want %s", v, pinned.TStarts[ti], got, want)
+			}
 		}
-		for fi := range tbl.FTargets {
-			for ti := 1; ti < len(tbl.TStarts); ti++ {
-				if tbl.Entries[ti][fi].Feasible && !tbl.Entries[ti-1][fi].Feasible {
-					t.Errorf("%s: column %d regains feasibility at hotter row %d", v, fi, ti)
-				}
+	}
+}
+
+func checkMonotone(t *testing.T, v Variant, tbl *Table) {
+	t.Helper()
+	for ti := range tbl.Entries {
+		for fi := 1; fi < len(tbl.FTargets); fi++ {
+			if tbl.Entries[ti][fi].Feasible && !tbl.Entries[ti][fi-1].Feasible {
+				t.Errorf("%s: row %d has a feasibility hole at column %d", v, ti, fi)
+			}
+		}
+	}
+	for fi := range tbl.FTargets {
+		for ti := 1; ti < len(tbl.TStarts); ti++ {
+			if tbl.Entries[ti][fi].Feasible && !tbl.Entries[ti-1][fi].Feasible {
+				t.Errorf("%s: column %d regains feasibility at hotter row %d", v, fi, ti)
 			}
 		}
 	}

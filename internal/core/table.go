@@ -145,8 +145,10 @@ type Table struct {
 // new fields are omitted from JSON when zero, so tables written by
 // earlier versions load unchanged.
 type TableStats struct {
-	Solves      int `json:"solves"`
-	Feasible    int `json:"feasible"`
+	Solves   int `json:"solves"`
+	Feasible int `json:"feasible"`
+	// NewtonIters counts the optimizer iterations of the feasible
+	// points; an infeasible point's verdict cost is in WallNanos only.
 	NewtonIters int `json:"newton_iters"`
 	// WarmHits counts solves carried by a neighbor-seeded warm start;
 	// WarmIters is their share of NewtonIters.
@@ -162,9 +164,9 @@ type TableStats struct {
 // the warm-started solves priced at the sweep's own average cold cost,
 // minus what they actually spent. A warm-seeded solve always ends
 // feasible (the seed is a feasible point), so the comparable cold
-// population is the feasible cold solves — infeasible points certify
-// through Phase I and report zero optimizer iterations. Zero when
-// nothing warm-started or when warm solves were no cheaper.
+// population is the feasible cold solves — the only points NewtonIters
+// counts. Zero when nothing warm-started or when warm solves were no
+// cheaper.
 func (s TableStats) IterationsSaved() int {
 	coldFeasible := s.Feasible - s.WarmHits
 	if coldFeasible <= 0 || s.WarmHits == 0 {
@@ -230,7 +232,7 @@ func (ts TableSpec) CacheKey() string {
 // objective — everything independent of the grid point), then each
 // TStart row is walked in ascending-FTarget order, seeding every solve
 // from its feasible lower-frequency neighbor's optimum with the
-// heuristic/rebalance/Phase-I ladder as fallback. Rows are dispatched
+// heuristic → feasibility-phase ladder as fallback. Rows are dispatched
 // to parallel workers, each owning one problem instance and one solver
 // workspace, so the per-point cost is offset rewrites plus Newton
 // iterations — not problem assembly or allocation. Because a row is one
@@ -337,7 +339,7 @@ func GenerateTable(ctx context.Context, ts TableSpec) (*Table, error) {
 						a, err = fullSpeedAssignment(spec, inst.rows)
 					} else {
 						seed, gap := inst.warmSeed(spec, prevX)
-						a, x, warm, err = solveLadder(ctx, spec, inst.prob, plan.lay, inst.rows, seed, gap, ws, nil)
+						a, x, warm, err = solveLadder(ctx, spec, inst, seed, gap, ws, nil)
 					}
 					elapsed := time.Since(start)
 					if err != nil {
@@ -347,7 +349,6 @@ func GenerateTable(ctx context.Context, ts TableSpec) (*Table, error) {
 						break
 					}
 					local.Solves++
-					local.NewtonIters += a.NewtonIters
 					local.WallNanos += elapsed.Nanoseconds()
 					if warm {
 						local.WarmHits++
@@ -355,6 +356,7 @@ func GenerateTable(ctx context.Context, ts TableSpec) (*Table, error) {
 					}
 					if a.Feasible {
 						local.Feasible++
+						local.NewtonIters += a.NewtonIters
 						prevX = x
 						tbl.Entries[ti][fi] = Entry{
 							Feasible:   true,

@@ -36,8 +36,8 @@ type Recorder interface {
 	// text) and is empty on acceptance.
 	WarmDecision(had, accepted bool, reason string)
 	// Rung names the ladder rung that produced the open span's result:
-	// "warm", "heuristic", "rebalance", "phase1", "full-speed",
-	// "bisect", ...
+	// "warm", "heuristic", "phase1" (the feasibility phase),
+	// "full-speed", "bisect", ...
 	Rung(name string)
 	// Centering records one barrier centering: the barrier parameter t,
 	// the Newton iterations spent, whether the centering converged, and

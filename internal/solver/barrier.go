@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -27,9 +28,12 @@ type Options struct {
 	// T0 is the initial barrier weight.
 	T0 float64
 	// StopEarly, if non-nil, aborts the solve successfully as soon as a
-	// centering iterate satisfies it. Phase I uses this to stop once a
-	// strictly feasible point is found.
-	StopEarly func(x linalg.Vector) bool
+	// centering iterate satisfies it. gap is the duality bound m/t that
+	// certifies x when x is the converged point of the previous centering
+	// (f0(x) − p* <= gap), and +Inf at every other iterate, so a caller
+	// can stop either on a good-enough point or on a proof that none
+	// exists.
+	StopEarly func(x linalg.Vector, gap float64) bool
 	// Interrupt, if non-nil, is polled once per Newton iteration; a
 	// non-nil return aborts the solve with that error. Context
 	// cancellation plumbs through here so a caller's deadline reaches
@@ -184,6 +188,11 @@ func Barrier(p *Problem, x0 linalg.Vector, opts Options) (*Result, error) {
 // scratch (gradient, Hessian, Newton direction, factorization) lives in
 // ws, so a caller solving many same-shaped problems amortizes every
 // allocation. A nil ws allocates a private workspace.
+//
+// When a centering fails (ErrNumerical, or an Interrupt error) the
+// error comes with a Result that carries only the work spent before it
+// — the iteration counters and phase timings — so callers can account
+// for a failed attempt.
 func BarrierWS(p *Problem, x0 linalg.Vector, opts Options, ws *Workspace) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -197,7 +206,10 @@ func BarrierWS(p *Problem, x0 linalg.Vector, opts Options, ws *Workspace) (*Resu
 		return nil, fmt.Errorf("solver: start has dim %d, want %d", len(x0), n)
 	}
 	if !p.IsStrictlyFeasible(x0) {
-		return nil, fmt.Errorf("solver: start is not strictly feasible (max violation %v); run PhaseI first", p.MaxViolation(x0))
+		return nil, fmt.Errorf("solver: start is not strictly feasible (max violation %v)", p.MaxViolation(x0))
+	}
+	if p.Pattern != nil && !p.Pattern.matches(p) {
+		return nil, errors.New("solver: Hessian pattern does not describe the problem")
 	}
 	if ws == nil {
 		ws = NewWorkspace(n)
@@ -210,24 +222,24 @@ func BarrierWS(p *Problem, x0 linalg.Vector, opts Options, ws *Workspace) (*Resu
 	m := float64(len(p.Constraints))
 	res := &Result{}
 
-	// Backend selection: the structured path needs a compiled pattern
-	// that still describes this problem instance (a pointer walk);
-	// anything else — no pattern, a Phase-I augmentation, a hand-built
-	// problem — stays dense. Both backends live in the workspace, so
-	// neither branch allocates.
+	// Backend selection: a compiled pattern (verified above) selects the
+	// structured path; only a nil pattern reaches the dense reference
+	// backend. Both backends live in the workspace, so neither branch
+	// allocates.
 	var ops kktOps
-	if p.Pattern != nil && p.Pattern.matches(p) {
+	if p.Pattern != nil {
 		ws.ensureArrow(p.Pattern)
-		ws.aops = arrowOps{p: p, pat: p.Pattern, ws: ws}
+		ws.aops = arrowOps{p: p, pat: p.Pattern, ws: ws, objDiag: objectiveCurvature(p.Objective)}
 		ops = &ws.aops
 	} else {
 		ws.dops = denseOps{p: p, ws: ws}
 		ops = &ws.dops
 	}
 
+	gap := math.Inf(1) // bound certifying x; +Inf until a centering converges
 	for outer := 0; outer < o.MaxOuter; outer++ {
 		res.OuterIters++
-		cs, err := center(x, t, o, ws, ops)
+		cs, err := center(x, t, gap, o, ws, ops)
 		res.NewtonIters += cs.iters
 		res.Centered = cs.converged
 		res.AssembleNanos += cs.assembleNs
@@ -237,7 +249,7 @@ func BarrierWS(p *Problem, x0 linalg.Vector, opts Options, ws *Workspace) (*Resu
 			o.Centering(t, cs.iters, cs.converged && err == nil, cs.assembleNs, cs.factorNs, cs.linesearchNs)
 		}
 		if err != nil {
-			return nil, err
+			return res, err
 		}
 		if cs.stopped {
 			res.StoppedEarly = true
@@ -245,6 +257,10 @@ func BarrierWS(p *Problem, x0 linalg.Vector, opts Options, ws *Workspace) (*Resu
 		}
 		if len(p.Constraints) == 0 || m/t < o.Tol {
 			break
+		}
+		gap = math.Inf(1)
+		if cs.converged {
+			gap = m / t
 		}
 		t *= o.Mu
 	}
@@ -284,10 +300,13 @@ type centerStats struct {
 }
 
 // center minimizes t·f0(x) + φ(x) over the strictly feasible set by
-// damped Newton, updating x in place. All problem evaluation and linear
-// algebra goes through ops (dense or structured backend), which draws
-// its scratch from ws; the two backends produce equivalent iterates.
-func center(x linalg.Vector, t float64, o Options, ws *Workspace, ops kktOps) (centerStats, error) {
+// damped Newton, updating x in place. gap is the duality bound that
+// certifies the starting x (+Inf when it certifies nothing); StopEarly
+// sees it at the first iterate only, since any Newton step moves x off
+// the point it certifies. All problem evaluation and linear algebra
+// goes through ops (dense or structured backend), which draws its
+// scratch from ws; the two backends produce equivalent iterates.
+func center(x linalg.Vector, t, gap float64, o Options, ws *Workspace, ops kktOps) (centerStats, error) {
 	grad := ws.grad
 	dx, xTrial := ws.dx, ws.xTrial
 	polish, lastPolish := 0, math.Inf(1)
@@ -301,7 +320,10 @@ func center(x linalg.Vector, t float64, o Options, ws *Workspace, ops kktOps) (c
 				return cs, err
 			}
 		}
-		if o.StopEarly != nil && o.StopEarly(x) {
+		if iter == 2 {
+			gap = math.Inf(1) // x has moved off the certified point
+		}
+		if o.StopEarly != nil && o.StopEarly(x, gap) {
 			cs.iters = iter - 1
 			cs.stopped, cs.converged = true, true
 			return cs, nil

@@ -1,7 +1,6 @@
 package solver
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -229,27 +228,48 @@ func TestMaxViolation(t *testing.T) {
 	}
 }
 
-func TestErrInfeasibleSentinel(t *testing.T) {
-	err := PhaseIInfeasibleError(t)
-	if !errors.Is(err, ErrInfeasible) {
-		t.Fatalf("error %v not ErrInfeasible", err)
+// TestBarrierStopEarlyGap pins what StopEarly sees: +Inf until a
+// centering has converged, then the duality bound m/t of that centering
+// at its converged point only, a bound the point's objective must
+// satisfy against the true optimum.
+func TestBarrierStopEarlyGap(t *testing.T) {
+	// minimize x1 + x2 over the box [0.2, 1]²: p* = 0.4, m = 4.
+	p := boxProblem(t, linalg.VectorOf(0.6, 0.6))
+	p.Objective = &Affine{A: linalg.VectorOf(1, 1)}
+	for i := range p.Constraints {
+		a := p.Constraints[i].(*Affine)
+		if a.A.Sum() < 0 {
+			a.B = 0.2 // lower bounds x >= 0.2
+		} else {
+			a.B = -1 // upper bounds x <= 1
+		}
 	}
-}
-
-// PhaseIInfeasibleError builds an infeasible system (x <= -1, x >= 1)
-// and returns PhaseI's error; shared with the sentinel test above.
-func PhaseIInfeasibleError(t *testing.T) error {
-	t.Helper()
-	p := &Problem{
-		Objective: &Affine{A: linalg.VectorOf(1)},
-		Constraints: []Func{
-			&Affine{A: linalg.VectorOf(1), B: 1},  // x + 1 <= 0
-			&Affine{A: linalg.VectorOf(-1), B: 1}, // 1 - x <= 0
-		},
+	var finite []float64
+	iterates := 0
+	opts := Options{StopEarly: func(x linalg.Vector, gap float64) bool {
+		iterates++
+		if math.IsInf(gap, 1) {
+			return false
+		}
+		if obj := x.Sum(); obj-0.4 > gap*(1+1e-6) {
+			t.Errorf("objective %v exceeds p* + gap %v", obj, 0.4+gap)
+		}
+		finite = append(finite, gap)
+		return false
+	}}
+	res, err := Barrier(p, linalg.VectorOf(0.5, 0.5), opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, err := PhaseI(p, linalg.VectorOf(0), Options{})
-	if err == nil {
-		t.Fatal("infeasible system accepted by PhaseI")
+	if len(finite) == 0 || len(finite) >= iterates {
+		t.Fatalf("%d of %d iterates saw a finite gap", len(finite), iterates)
 	}
-	return err
+	if len(finite) != res.OuterIters-1 {
+		t.Errorf("%d certified iterates for %d centerings, want one per converged centering but the last", len(finite), res.OuterIters)
+	}
+	for k := 1; k < len(finite); k++ {
+		if finite[k] >= finite[k-1] {
+			t.Fatalf("gaps %v do not shrink", finite)
+		}
+	}
 }

@@ -9,9 +9,10 @@ import (
 // kktOps abstracts the Newton-KKT backend of one centering: assembling
 // the barrier gradient/Hessian, solving for the Newton direction, and
 // evaluating the barrier value and strict feasibility of trial points.
-// The dense backend is the historical path; the arrow backend exploits
-// a compiled HessianPattern. Both live inside the Workspace, so
-// selecting one allocates nothing.
+// The arrow backend exploits a compiled HessianPattern and carries
+// every production solve; the dense backend is its reference, reached
+// only by a problem with a nil Pattern. Both live inside the
+// Workspace, so selecting one allocates nothing.
 type kktOps interface {
 	// assemble computes value and gradient (into ws.grad) of t·f0 + φ at
 	// x and builds the backend's Hessian representation. ok=false when x
@@ -95,9 +96,10 @@ func (d *denseOps) feasible(x linalg.Vector) bool {
 // block-elimination factorization. Shares the regularized-retry ladder
 // and failure semantics with the dense path.
 type arrowOps struct {
-	p   *Problem
-	pat *HessianPattern
-	ws  *Workspace
+	p       *Problem
+	pat     *HessianPattern
+	ws      *Workspace
+	objDiag linalg.Vector // live objective curvature, nil when affine
 }
 
 // logFlush folds the running slack product into val once it leaves the
@@ -141,8 +143,8 @@ func (a *arrowOps) assemble(x linalg.Vector, t float64) (float64, bool) {
 	kkt.VF.Fill(0)
 	kkt.CF.Fill(0)
 	kkt.S.Reset()
-	if pat.objDiag != nil {
-		for j, dj := range pat.objDiag {
+	if a.objDiag != nil {
+		for j, dj := range a.objDiag {
 			if dj == 0 {
 				continue
 			}

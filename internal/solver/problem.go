@@ -1,9 +1,14 @@
 // Package solver implements the convex optimization machinery the paper
 // delegates to CVX ([25], [27]): a log-barrier interior-point method
-// with damped Newton centering and backtracking line search, a Phase-I
-// stage that either finds a strictly feasible point or certifies
-// infeasibility, and a monotone bisection used to cross-check the
-// scalar (uniform-frequency) problems.
+// with damped Newton centering and backtracking line search, and a
+// monotone bisection used to cross-check the scalar (uniform-frequency)
+// problems. The barrier runs on one of two KKT backends: the structured
+// arrow backend, selected by a compiled HessianPattern and used by every
+// production solve, or the dense reference backend, reached only by a
+// problem with a nil Pattern. Finding a strictly feasible start (or
+// certifying that none exists) is the caller's job: Options.StopEarly
+// hands it the duality bound of each converged centering, which is
+// enough to run a Phase-I as an ordinary barrier solve.
 //
 // Problems are smooth convex programs
 //
@@ -134,12 +139,12 @@ func (f *DiagQuadratic) AddHessian(h *linalg.Matrix, w float64, x linalg.Vector)
 // Problem is a smooth convex program: minimize Objective subject to
 // every Constraints[i](x) <= 0.
 //
-// Pattern, when non-nil, is a structure hint: the compiled arrow shape
-// of the barrier Hessian (see CompileHessianPattern). The solver
-// verifies it against the problem at solve start and takes the
-// block-elimination fast path on a match, falling back to dense
-// assembly and Cholesky otherwise — results are equivalent either way,
-// only the cost changes.
+// Pattern, when non-nil, is the compiled arrow shape of the barrier
+// Hessian (see CompileHessianPattern). The solver verifies it against
+// the problem at solve start and takes the block-elimination path; a
+// pattern that no longer matches is an error. A nil Pattern selects the
+// dense reference backend (full assembly and Cholesky), whose results
+// are equivalent — only the cost differs.
 type Problem struct {
 	Objective   Func
 	Constraints []Func
@@ -193,12 +198,6 @@ func (p *Problem) IsStrictlyFeasible(x linalg.Vector) bool {
 	}
 	return true
 }
-
-// ErrInfeasible is returned when Phase I certifies that no strictly
-// feasible point exists. The paper's design flow depends on this
-// signal: "If the required frequency point cannot be supported, the
-// optimization notifies an infeasible solution."
-var ErrInfeasible = errors.New("solver: problem is infeasible")
 
 // ErrNumerical is returned when Newton centering cannot make progress
 // (singular KKT system beyond repair, line search collapse).

@@ -24,18 +24,15 @@ import (
 //     (temperature rows, gradient pairs) → one row of the shared G
 //     matrix, accumulated into the dense block by blocked SYRK
 //
-// Anything else fails compilation and the solver stays on the dense
-// path. A pattern is compiled against one materialized Problem but is
-// valid for every sibling instance of the same plan: the coefficient
-// vectors are shared (matches verifies data-pointer identity) while the
-// offsets B are read live from the instance's constraints, which is
-// exactly what the per-window rewrite mutates.
+// Anything else fails compilation. A pattern is compiled against one
+// materialized Problem but is valid for every sibling instance of the
+// same plan: the coefficient vectors are shared (matches verifies
+// data-pointer identity) while the offsets B and the objective are read
+// live from the instance, which is exactly what the per-window rewrite
+// and an auxiliary objective swap mutate.
 type HessianPattern struct {
 	dim, nf, nd int
 	m           int // constraint count the pattern was compiled for
-
-	objective Func          // compiled-against objective (identity-checked)
-	objDiag   linalg.Vector // objective curvature (aliases the objective's D), nil when affine
 
 	fDiag   []patScalar
 	dDiag   []patScalar
@@ -93,8 +90,7 @@ func (hp *HessianPattern) NumRows() int { return len(hp.rows) }
 
 // CompileHessianPattern classifies p's constraints against the f/dense
 // split [0,nf) | [nf,dim). It returns an error when any constraint (or
-// the objective) falls outside the arrow shapes above; callers treat
-// that as "stay dense", not as a solve failure.
+// the objective) falls outside the arrow shapes above.
 func CompileHessianPattern(p *Problem, nf int) (*HessianPattern, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -103,17 +99,8 @@ func CompileHessianPattern(p *Problem, nf int) (*HessianPattern, error) {
 	if nf < 0 || nf > dim {
 		return nil, fmt.Errorf("solver: f block size %d outside [0, %d]", nf, dim)
 	}
-	hp := &HessianPattern{
-		dim: dim, nf: nf, nd: dim - nf,
-		m:         len(p.Constraints),
-		objective: p.Objective,
-	}
-	switch o := p.Objective.(type) {
-	case *Affine:
-		// No curvature.
-	case *DiagQuadratic:
-		hp.objDiag = o.D
-	default:
+	hp := &HessianPattern{dim: dim, nf: nf, nd: dim - nf, m: len(p.Constraints)}
+	if !diagonalObjective(p.Objective) {
 		return nil, fmt.Errorf("solver: objective %T has no compiled Hessian shape", p.Objective)
 	}
 	hp.coupleCol = make([]int, nf)
@@ -205,17 +192,18 @@ func CompileHessianPattern(p *Problem, nf int) (*HessianPattern, error) {
 // check BarrierWS runs before selecting the structured backend.
 // Callers compiling a pattern once and reusing it across problem
 // instances can assert the hint is still live (a false return means
-// every solve silently takes the dense path).
+// every solve with it fails).
 func (hp *HessianPattern) Matches(p *Problem) bool { return hp.matches(p) }
 
-// matches reports whether the pattern still describes p: same shape,
-// same objective, and every classified constraint at its compiled index
-// with the identical coefficient storage. Sibling instances of one
-// compiled plan share coefficient vectors, so the check is a pointer
-// walk — O(m) with no arithmetic — done once per solve, and any drift
-// (a Phase-I augmentation, a hand-built problem) falls back to dense.
+// matches reports whether the pattern still describes p: same shape, an
+// objective with diagonal curvature, and every classified constraint at
+// its compiled index with the identical coefficient storage. Sibling
+// instances of one compiled plan share coefficient vectors, so the
+// check is a pointer walk — O(m) with no arithmetic — done once per
+// solve; any drift (a hand-built problem, reallocated constraints) is a
+// BarrierWS error rather than a solve on stale coefficients.
 func (hp *HessianPattern) matches(p *Problem) bool {
-	if p.Dim() != hp.dim || len(p.Constraints) != hp.m || p.Objective != hp.objective {
+	if p.Dim() != hp.dim || len(p.Constraints) != hp.m || !diagonalObjective(p.Objective) {
 		return false
 	}
 	affineAt := func(ci int, aPtr *float64) bool {
@@ -248,4 +236,23 @@ func (hp *HessianPattern) matches(p *Problem) bool {
 		}
 	}
 	return true
+}
+
+// diagonalObjective reports whether f has a Hessian shape the arrow
+// backend assembles: none (affine) or diagonal.
+func diagonalObjective(f Func) bool {
+	switch f.(type) {
+	case *Affine, *DiagQuadratic:
+		return true
+	}
+	return false
+}
+
+// objectiveCurvature returns the diagonal curvature of an objective the
+// pattern accepts (aliasing its D), nil when it is affine.
+func objectiveCurvature(f Func) linalg.Vector {
+	if q, ok := f.(*DiagQuadratic); ok {
+		return q.D
+	}
+	return nil
 }

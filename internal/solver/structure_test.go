@@ -193,14 +193,13 @@ func TestStructuredBarrierFailureParity(t *testing.T) {
 	}
 }
 
-// TestPatternMatchRejectsDrift pins the fallback rule: a pattern
-// compiled against one problem must not match a problem whose
-// constraint storage was swapped (the Phase-I augmentation case), so
-// such solves silently take the dense path instead of reading stale
-// coefficients.
+// TestPatternMatchRejectsDrift pins the match rule: a pattern compiled
+// against one problem must not match a problem whose constraint storage
+// was swapped, so BarrierWS rejects such a solve instead of reading
+// stale coefficients.
 func TestPatternMatchRejectsDrift(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	p, _ := randomArrowProblem(rng, 4, true, true)
+	p, x0 := randomArrowProblem(rng, 4, true, true)
 	pat, err := CompileHessianPattern(p, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -225,6 +224,11 @@ func TestPatternMatchRejectsDrift(t *testing.T) {
 	r := &Problem{Objective: p.Objective, Constraints: swapped}
 	if pat.matches(r) {
 		t.Fatal("pattern matches a problem with reallocated coefficient storage")
+	}
+	// A stale pattern is an error, never a silent dense solve.
+	r.Pattern = pat
+	if _, err := Barrier(r, x0, Options{}); err == nil {
+		t.Fatal("BarrierWS solved with a pattern that does not match")
 	}
 
 	// B offsets are read live, not compiled: mutating them must NOT

@@ -13,12 +13,11 @@ import "protemp/internal/linalg"
 // in-place work on caller-owned memory.
 //
 // The dense Hessian buffers are allocated lazily on first dense
-// assembly, so a solve that stays on the structured path never pays
-// for the (dim)² dense storage. A Workspace is resized on demand, so
-// one instance can serve problems of different dimensions (a Phase-I
-// detour adds a slack variable); resizing reallocates, matching stays
-// allocation-free. It must not be used from more than one solve at a
-// time.
+// assembly, so a solve on the structured path (every solve with a
+// Pattern) never pays for the (dim)² dense storage. A Workspace is
+// resized on demand, so one instance can serve problems of different
+// dimensions; resizing reallocates, matching stays allocation-free. It
+// must not be used from more than one solve at a time.
 type Workspace struct {
 	n      int
 	grad   linalg.Vector

@@ -73,7 +73,7 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 }
 
 // TestWorkspaceResizes runs problems of different dimensions through
-// one workspace — the Phase-I slack dimension in miniature.
+// one workspace.
 func TestWorkspaceResizes(t *testing.T) {
 	ws := NewWorkspace(2)
 	for _, n := range []int{2, 4, 2, 3} {
